@@ -19,11 +19,12 @@ numeric drift in future columns fails soft rather than flaky.
 The ``batched`` mode measures the struct-of-arrays engine
 (:mod:`repro.batch`) driving 32 consensus lanes through one fused step
 loop.  Its gated values: the aggregate step count (deterministic — the
-lanes are seeded), ``matches_serial`` (the lanes sharing the serial
-cell's seeds reproduced its step counts bit-for-bit) and
-``meets_floor_5x`` (aggregate steps/sec at least 5x the serial
-consensus/bare row *on the same host*, so the boolean is
-host-independent even though the underlying wall-clocks are not).
+lanes are seeded) and ``matches_serial`` (the lanes sharing the serial
+cell's seeds reproduced its step counts bit-for-bit).  Its speedup over
+the serial consensus/bare row is recorded under a timing key, ungated:
+a ratio of two in-process wall-clocks of ~0.05 s each moves with host
+noise, so whether the fused lanes stay is read from the end-to-end
+benchmark's ``sweep-batched`` over ``sweep-large`` steps/sec instead.
 """
 
 from _common import attach_timing, bench_timer, bench_workers, record, reset
@@ -108,10 +109,9 @@ def test_p1_throughput(benchmark):
     # assertion here — the 2x acceptance number is recorded in the PR).
     assert all(row["steps_per_sec"] > 0 for row in rows)
     # Batched struct-of-arrays mode: bit-identical to serial on the shared
-    # seeds, and at least 5x the serial bare row's aggregate steps/sec.
+    # seeds.
     assert len(batched) == 1
     assert batched[0]["matches_serial"] is True
-    assert batched[0]["meets_floor_5x"] is True
 
 
 if __name__ == "__main__":

@@ -16,9 +16,10 @@ This module provides both halves for the P1 throughput benchmark and the
   ``scan`` (arrow scannable-memory traffic only) and ``coin`` (bounded
   shared-coin traffic only);
 - three **instrumentation modes** per workload: ``bare`` (metrics
-  disabled, no event/span recording — the zero-cost-when-off path),
-  ``metrics`` (the default: counters/gauges/histograms on, recording
-  off) and ``trace`` (metrics plus full event+span recording);
+  disabled, so no memory audit either, and no event/span recording — the
+  zero-cost-when-off path), ``metrics`` (the default: counters/gauges/
+  histograms and the consensus memory audit on, recording off) and
+  ``trace`` (metrics plus full event+span recording);
 - :func:`measure_throughput` / :func:`throughput_table` timing each cell
   best-of-``repeats`` into ``steps_per_sec``;
 - :func:`overhead_rows` reducing the table to instrumented-vs-bare
@@ -259,10 +260,6 @@ def profile_breakdown(
 #: equivalence with serial is checked inside the measurement itself.
 BATCHED_LANES = 32
 
-#: The floor BENCH_P1 gates in CI: batched aggregate steps/sec must be at
-#: least this multiple of the serial consensus/bare row on the same host.
-BATCHED_FLOOR = 5.0
-
 
 def batched_lane_specs(seeds: Sequence[int] = DEFAULT_SEEDS, lanes: int = BATCHED_LANES):
     """Consensus lane specs: ``lanes`` consecutive seeds from ``seeds[0]``,
@@ -321,14 +318,15 @@ def batched_rows(
     batched: ThroughputSample,
     seeds: Sequence[int] = DEFAULT_SEEDS,
     lanes: int = BATCHED_LANES,
-    floor: float = BATCHED_FLOOR,
 ) -> list[dict]:
     """The BENCH_P1 ``batched`` row, gate-ready.
 
     ``steps`` and ``serial_prefix_steps`` are deterministic (numerically
-    gated); ``matches_serial`` and ``meets_floor_5x`` are booleans (gated
-    exactly); the speedup and steps/sec figures measure the host and ride
-    under timing-marker keys the gate skips.
+    gated); ``matches_serial`` is a boolean (gated exactly); the speedup
+    and steps/sec figures measure the host and ride under timing-marker
+    keys the gate skips.  Whether the fused lanes pay for themselves is
+    read from the end-to-end benchmark (``sweep-batched`` over
+    ``sweep-large`` steps/sec), not gated here.
     """
     from repro.batch import run_lanes
 
@@ -347,7 +345,6 @@ def batched_rows(
             # The lanes sharing the serial cell's seeds must reproduce its
             # step counts exactly — bit-identity, gated as a boolean.
             "matches_serial": prefix_steps == bare.steps,
-            "meets_floor_5x": speedup >= floor,
             "steps_per_sec": round(batched.steps_per_sec),
             "speedup_vs_bare_wall": round(speedup, 2),
         }

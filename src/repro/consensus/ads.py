@@ -33,8 +33,8 @@ the paper).  With the scanned view and its decoded distance graph ``G``:
 Boundedness: every field of the cell ranges over a finite domain —
 ``pref ∈ {0, 1, ⊥}``, each coin counter in ``{-(m+1)..m+1}``, the pointer in
 ``{0..K}``, each edge counter in ``{0..3K-1}`` — and the scannable memory
-adds only handshake bits.  The memory audit of every run certifies this
-(experiment E6).
+adds only handshake bits.  The memory audit of every run with metrics on
+certifies this (experiment E6).
 """
 
 from __future__ import annotations
@@ -116,7 +116,7 @@ class AdsConsensus(ConsensusProtocol):
         sim: Simulation,
         n: int,
         initial: AdsCell,
-        audit: MemoryAudit,
+        audit: MemoryAudit | None,
         name: str = "mem",
     ) -> ScannableMemory:
         if self.snapshot_kind == "arrows":
@@ -136,7 +136,9 @@ class AdsConsensus(ConsensusProtocol):
             return EmbeddedScanSnapshot(sim, name, n, initial=initial, audit=audit)
         raise ValueError(f"unknown snapshot_kind: {self.snapshot_kind!r}")
 
-    def _setup(self, sim: Simulation, inputs: Sequence[int], audit: MemoryAudit):
+    def _setup(
+        self, sim: Simulation, inputs: Sequence[int], audit: MemoryAudit | None
+    ):
         n = len(inputs)
         m = self.m_bound if self.m_bound is not None else logic.default_m(
             self.b_barrier, n, self.f_factor
@@ -261,14 +263,20 @@ class AdsConsensus(ConsensusProtocol):
         The gap drives decidability (line 2 needs disagreeers to trail by
         K), so its excursion over a run is the E4 round-dynamics signal.
         Skipped when metrics are off: the extra longest-path relaxation is
-        pure observability cost.
+        pure observability cost.  Also skipped for an illegal graph (a
+        positive cycle, e.g. decoded from a fault-corrupted view): an
+        observer must not change control flow, so what such a view means
+        is left to the protocol's own decide and adopt steps.
         """
         if self._metrics is None or not self._metrics.enabled:
             return
         leaders = graph.leaders()
         if not leaders:
             return
-        dists = graph.all_dists_from(leaders[0])
+        try:
+            dists = graph.all_dists_from(leaders[0])
+        except ValueError:
+            return
         finite = [d for d in dists if d != float("-inf")]
         self._m_leader_gap.set_max(max(finite, default=0))
 

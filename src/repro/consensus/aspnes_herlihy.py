@@ -60,7 +60,9 @@ class AspnesHerlihyConsensus(ConsensusProtocol):
         self._flips: dict[int, int] = {}
         self._scans: dict[int, int] = {}
 
-    def _setup(self, sim: Simulation, inputs: Sequence[int], audit: MemoryAudit):
+    def _setup(
+        self, sim: Simulation, inputs: Sequence[int], audit: MemoryAudit | None
+    ):
         n = len(inputs)
         initial = RoundCell(pref=BOTTOM, round=0)
         memory = SequencedScannableMemory(sim, "mem", n, initial=initial, audit=audit)

@@ -29,7 +29,9 @@ class AtomicCoinConsensus(AspnesHerlihyConsensus):
 
     name = "atomic-coin"
 
-    def _setup(self, sim: Simulation, inputs: Sequence[int], audit: MemoryAudit):
+    def _setup(
+        self, sim: Simulation, inputs: Sequence[int], audit: MemoryAudit | None
+    ):
         factory = super()._setup(sim, inputs, audit)
         self._sim = sim
         self._oracles: dict[int, OracleCoin] = {}

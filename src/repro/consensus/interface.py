@@ -28,7 +28,9 @@ class ConsensusRun:
     n: int
     inputs: tuple[int, ...]
     outcome: SimulationOutcome
-    audit: MemoryAudit
+    #: The memory audit (E6), kept only in metrics mode: ``None`` when the
+    #: run's metrics were disabled.
+    audit: MemoryAudit | None
     seed: int
     stats: dict[str, Any] = field(default_factory=dict)
     simulation: Simulation | None = None
@@ -105,7 +107,9 @@ class ConsensusProtocol(abc.ABC):
         )
 
     @abc.abstractmethod
-    def _setup(self, sim: Simulation, inputs: Sequence[int], audit: MemoryAudit):
+    def _setup(
+        self, sim: Simulation, inputs: Sequence[int], audit: MemoryAudit | None
+    ):
         """Create shared objects; return ``factory(pid) -> program``."""
 
     def _validate_inputs(self, inputs: Sequence[int]) -> None:
@@ -146,6 +150,8 @@ class ConsensusProtocol(abc.ABC):
         Spans/events are off by default (protocol runs are long; property
         checking tests switch them on explicitly).  Metrics are on by
         default; pass ``metrics=MetricsRegistry(enabled=False)`` to opt out.
+        The memory audit is part of metrics mode: a run without metrics
+        skips it and carries ``audit=None``.
         ``series`` attaches a :class:`~repro.obs.timeseries.SeriesRecorder`
         sampling the tracked counters every ``series.every`` steps; the
         series ride on the run's metrics snapshot.
@@ -156,7 +162,6 @@ class ConsensusProtocol(abc.ABC):
         """
         self._validate_inputs(inputs)
         n = len(inputs)
-        audit = MemoryAudit()
         sim = Simulation(
             n,
             scheduler=scheduler,
@@ -169,6 +174,7 @@ class ConsensusProtocol(abc.ABC):
             faults=fault_plan,
             series=series,
         )
+        audit = MemoryAudit() if sim.metrics.enabled else None
         self._bind_metrics(sim)
         factory = self._setup(sim, inputs, audit)
         sim.spawn_all(factory)

@@ -25,7 +25,7 @@ Concrete adversaries:
 
 from __future__ import annotations
 
-from typing import Any, Callable, TYPE_CHECKING
+from typing import Any, Callable, Sequence, TYPE_CHECKING
 
 from repro.runtime.rng import derive_rng
 from repro.runtime.scheduler import Scheduler
@@ -74,7 +74,7 @@ class WalkBalancingAdversary(Adversary):
             return int(intent.payload) - coin.counter_of(pid)
         return 0
 
-    def choose(self, sim: "Simulation", runnable: list[int]) -> int:
+    def choose(self, sim: "Simulation", runnable: Sequence[int]) -> int:
         coin = sim.shared.get(self.coin_name)
         if coin is None:
             return self._rng.choice(runnable)
@@ -135,7 +135,7 @@ class CoinDisagreementAdversary(Adversary):
             return self._rng.choice(readers)
         return None
 
-    def choose(self, sim: "Simulation", runnable: list[int]) -> int:
+    def choose(self, sim: "Simulation", runnable: Sequence[int]) -> int:
         coin = sim.shared.get(self.coin_name)
         if coin is None:
             return self._rng.choice(runnable)
@@ -185,7 +185,7 @@ class SplitAdversary(Adversary):
         self._turn = 0
         self._camp_rr = {}
 
-    def choose(self, sim: "Simulation", runnable: list[int]) -> int:
+    def choose(self, sim: "Simulation", runnable: Sequence[int]) -> int:
         camps: dict[Any, list[int]] = {}
         for pid in runnable:
             camps.setdefault(self.pref_of(sim, pid), []).append(pid)
@@ -240,7 +240,7 @@ class LockstepAdversary(Adversary):
             and intent.target == f"{self.memory_name}.V[{pid}]"
         )
 
-    def choose(self, sim: "Simulation", runnable: list[int]) -> int:
+    def choose(self, sim: "Simulation", runnable: Sequence[int]) -> int:
         if self._phase == self._RELEASE:
             self._to_release = [p for p in self._to_release if p in runnable]
             if self._to_release:
@@ -273,7 +273,7 @@ class ScanStarvingAdversary(Adversary):
         super().reset()
         self._count = 0
 
-    def choose(self, sim: "Simulation", runnable: list[int]) -> int:
+    def choose(self, sim: "Simulation", runnable: Sequence[int]) -> int:
         self._count += 1
         others = [pid for pid in runnable if pid != self.victim]
         if not others:

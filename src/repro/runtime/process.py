@@ -198,6 +198,12 @@ class Process:
         """Perform the pending atomic operation and run to the next yield."""
         if not self.runnable:
             raise RuntimeError(f"process {self.pid} is {self.state.value}, cannot step")
+        self.resume()
+
+    def resume(self) -> None:
+        """:meth:`advance` without the state check, for a caller that has
+        already verified this process is RUNNABLE (the step loop checks
+        the scheduler's choice itself)."""
         self.steps_taken += 1
         try:
             self.pending = self._generator.send(None)

@@ -18,7 +18,7 @@ from __future__ import annotations
 import abc
 import random
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Sequence
 
 from repro.runtime.rng import derive_rng
 
@@ -37,8 +37,13 @@ class Scheduler(abc.ABC):
     __slots__ = ()
 
     @abc.abstractmethod
-    def choose(self, sim: "Simulation", runnable: list[int]) -> int:
-        """Return the pid (from ``runnable``, never empty) to schedule next."""
+    def choose(self, sim: "Simulation", runnable: Sequence[int]) -> int:
+        """Return the pid (from ``runnable``, never empty) to schedule next.
+
+        ``runnable`` is the simulation's cached, pid-ascending tuple of
+        RUNNABLE pids; it is replaced, never updated in place, when a
+        process changes state.
+        """
 
     def reset(self) -> None:
         """Forget any per-run state (called when a simulation starts)."""
@@ -59,7 +64,7 @@ class RoundRobinScheduler(Scheduler):
     def reset(self) -> None:
         self._last = -1
 
-    def choose(self, sim: "Simulation", runnable: list[int]) -> int:
+    def choose(self, sim: "Simulation", runnable: Sequence[int]) -> int:
         for pid in runnable:
             if pid > self._last:
                 self._last = pid
@@ -87,7 +92,7 @@ class RandomScheduler(Scheduler):
         self._rng = derive_rng(self.seed, "random-scheduler")
         self._getrandbits = self._rng.getrandbits
 
-    def choose(self, sim: "Simulation", runnable: list[int]) -> int:
+    def choose(self, sim: "Simulation", runnable: Sequence[int]) -> int:
         if self.weights is None:
             # Inlined ``Random.choice`` (= ``seq[_randbelow(len(seq))]``
             # with the getrandbits rejection loop), drawing the exact same
@@ -129,7 +134,7 @@ class ScriptedScheduler(Scheduler):
         self._pos = 0
         self._fallback.reset()
 
-    def choose(self, sim: "Simulation", runnable: list[int]) -> int:
+    def choose(self, sim: "Simulation", runnable: Sequence[int]) -> int:
         while self._pos < len(self.script):
             pid = self.script[self._pos]
             self._pos += 1
@@ -178,7 +183,7 @@ class TracingScheduler(Scheduler):
         self._streak_pid = None
         self._streak_len = 0
 
-    def choose(self, sim: "Simulation", runnable: list[int]) -> int:
+    def choose(self, sim: "Simulation", runnable: Sequence[int]) -> int:
         pid = self.inner.choose(sim, runnable)
         self.grants[pid] = self.grants.get(pid, 0) + 1
         if pid == self._streak_pid:

@@ -142,10 +142,11 @@ class Simulation:
         self.step_count = 0
         self._clock = 0
         self.processes: dict[int, Process] = {}
-        # pid-sorted (pid, process) pairs, rebuilt on spawn.  Process
-        # objects are mutated in place (crash/restart/finish), never
-        # replaced, so the sorted view stays valid between spawns.
-        self._proc_seq: list[tuple[int, Process]] = []
+        # The pid-ascending RUNNABLE pids handed to the scheduler every
+        # step.  A tuple, so a scheduler cannot mutate the cached view;
+        # rebuilt only when a process changes state (spawn, crash,
+        # restart, finish, fail), never per step.
+        self._runnable: tuple[int, ...] = ()
         self.shared: dict[str, Any] = {}
         # Spans opened but not yet stamped with an invocation instant;
         # stamped at the owning process's next atomic operation.
@@ -176,7 +177,7 @@ class Simulation:
         if not 0 <= pid < self.n:
             raise ValueError(f"pid {pid} out of range for n={self.n}")
         self.processes[pid] = Process(pid, self.context(pid), program)
-        self._proc_seq = sorted(self.processes.items())
+        self._refresh_runnable()
 
     def spawn_all(self, program_factory: Callable[[int], ProcessProgram]) -> None:
         """Spawn processes ``0..n-1`` with per-pid programs."""
@@ -221,11 +222,17 @@ class Simulation:
     # -- execution ----------------------------------------------------------
 
     def runnable_pids(self) -> list[int]:
-        return [pid for pid, p in self._proc_seq if p.state is _RUNNABLE]
+        return list(self._runnable)
+
+    def _refresh_runnable(self) -> None:
+        self._runnable = tuple(
+            pid for pid, p in sorted(self.processes.items()) if p.state is _RUNNABLE
+        )
 
     def crash(self, pid: int) -> None:
         self.processes[pid].crash()
         self._crash_counter.inc()
+        self._refresh_runnable()
 
     def restart(self, pid: int) -> None:
         """Restart a crashed process (crash-recovery model).
@@ -241,6 +248,7 @@ class Simulation:
         self.pending_invokes.pop(pid, None)
         process.restart(self.context(pid, incarnation=incarnation))
         self._restart_counter.inc()
+        self._refresh_runnable()
 
     def _apply_fault_schedules(self) -> None:
         """Fire due crash and restart entries (each fires exactly once)."""
@@ -274,27 +282,26 @@ class Simulation:
             self._fault_entries_pending = self._crash_index < len(
                 self._crash_schedule
             ) or self._restart_index < len(self._restart_schedule)
-        runnable = [pid for pid, p in self._proc_seq if p.state is _RUNNABLE]
-        if not runnable and self._restart_index < len(self._restart_schedule):
-            # Everyone alive is done/crashed but restarts are still
+        if not self._runnable:
+            # Everyone alive is done/crashed but restarts may still be
             # scheduled.  Global time is measured in process steps, so it
             # cannot advance to reach them — warp to the next entries that
             # actually revive someone.
             while (
-                not runnable and self._restart_index < len(self._restart_schedule)
+                not self._runnable
+                and self._restart_index < len(self._restart_schedule)
             ):
                 pid = self._restart_schedule[self._restart_index][0]
                 self._restart_index += 1
                 if self.processes[pid].state is ProcessState.CRASHED:
                     self.restart(pid)
-                    runnable = self.runnable_pids()
-        if not runnable:
-            return None
-        pid = self.scheduler.choose(self, runnable)
+            if not self._runnable:
+                return None
+        pid = self.scheduler.choose(self, self._runnable)
         process = self.processes.get(pid)
         if process is None or process.state is not _RUNNABLE:
             raise RuntimeError(f"scheduler chose non-runnable pid {pid}")
-        process.advance()
+        process.resume()
         self.step_count += 1
         self._steps_by_pid[pid].inc()
         if self.series_recorder is not None:
@@ -302,8 +309,11 @@ class Simulation:
             # adversary drives), never wall time, so series stay
             # deterministic per seed.
             self.series_recorder.maybe_sample(self.step_count)
-        if process.state is _FAILED:
-            raise process.failure  # type: ignore[misc]
+        if process.state is not _RUNNABLE:
+            # The step finished or failed the process.
+            self._refresh_runnable()
+            if process.state is _FAILED:
+                raise process.failure  # type: ignore[misc]
         return pid
 
     def run(

@@ -35,6 +35,7 @@ from repro.consensus import (
     validate_run,
 )
 from repro.consensus.ads import pref_reader
+from repro.obs.metrics import MetricsRegistry
 from repro.runtime import (
     RandomScheduler,
     RoundRobinScheduler,
@@ -112,7 +113,9 @@ def make_sweep_runner(
     Each cell builds its own protocol instance and scheduler from its own
     seed (no shared state), validates safety, and reduces the run to one
     number — total steps or max rounds.  An unsafe run raises: a sweep
-    must never average over violations.
+    must never average over violations.  Cells run bare (metrics, and with
+    them the memory audit, off; no event or span recording): a sweep
+    records only the number, so nothing else would be read.
     """
 
     def run_once(n: int, seed: int) -> float:
@@ -123,6 +126,7 @@ def make_sweep_runner(
             scheduler=make_scheduler(scheduler, seed),
             seed=seed,
             max_steps=max_steps,
+            metrics=MetricsRegistry(enabled=False),
         )
         report = validate_run(run)
         if not report.ok:

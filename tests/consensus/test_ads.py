@@ -3,9 +3,11 @@
 import pytest
 
 from repro.consensus import AdsConsensus, validate_run
-from repro.consensus.ads import AdsCell
+from repro.consensus.ads import AdsCell, pref_reader
 from repro.consensus.interface import BOTTOM
-from repro.runtime import RoundRobinScheduler
+from repro.faults.plan import FaultPlan
+from repro.obs.metrics import MetricsRegistry
+from repro.runtime import RoundRobinScheduler, SplitAdversary
 from repro.strip import decode_graph
 
 
@@ -135,3 +137,30 @@ def test_deterministic_replay():
     b = AdsConsensus().run([0, 1, 1, 0], seed=99)
     assert a.decisions == b.decisions
     assert a.total_steps == b.total_steps
+
+
+def test_leader_gap_observer_tolerates_an_illegal_graph():
+    """A corrupted write can make a scanned view decode to a distance graph
+    with a positive cycle.  The metrics-only leader-gap observer used to
+    raise on it, so turning metrics on crashed runs that complete with
+    metrics off (a fault-fuzz cell of ``repro chaos --seed 2``)."""
+
+    def run(metrics_enabled):
+        return AdsConsensus().run(
+            [1, 0, 1],
+            scheduler=SplitAdversary(pref_reader, seed=1198677871),
+            seed=1198677871,
+            fault_plan=FaultPlan(
+                seed=1649350346,
+                corrupt_write_rate=0.03696532678102451,
+                targets=("mem.",),
+            ),
+            max_steps=300_000,
+            raise_on_budget=False,
+            metrics=MetricsRegistry(enabled=metrics_enabled),
+        )
+
+    on, off = run(True), run(False)
+    assert on.outcome.metrics.counter_total("faults.injected") > 0
+    assert on.decisions == off.decisions
+    assert on.total_steps == off.total_steps

@@ -21,14 +21,19 @@ def _outcome_fields(run):
         dict(run.decisions),
         run.total_steps,
         dict(run.outcome.steps_by_pid),
-        run.audit.max_magnitude,
-        run.audit.max_width,
-        run.audit.writes,
     )
 
 
+def _audit_fields(run):
+    return (run.audit.max_magnitude, run.audit.max_width, run.audit.writes)
+
+
 def test_all_instrumentation_modes_agree_across_ten_seeds():
-    """bare / metrics-on / trace-on runs are indistinguishable per seed."""
+    """bare / metrics-on / trace-on runs are indistinguishable per seed.
+
+    The memory audit is part of metrics mode: bare runs skip it and carry
+    ``audit=None``; the two metrics-on modes audit identically.
+    """
     for seed in range(10):
         inputs = [(seed + i) % 2 for i in range(4)]
         bare = AdsConsensus().run(
@@ -38,8 +43,10 @@ def test_all_instrumentation_modes_agree_across_ten_seeds():
         trace = AdsConsensus().run(
             inputs, seed=seed, record_events=True, record_spans=True
         )
+        assert bare.audit is None
         assert _outcome_fields(bare) == _outcome_fields(metrics)
         assert _outcome_fields(metrics) == _outcome_fields(trace)
+        assert _audit_fields(metrics) == _audit_fields(trace)
 
 
 def test_null_span_only_when_nothing_records():
