@@ -11,8 +11,8 @@ replication is then content-addressed by (seed, cell config, code
 version), replications whose fingerprint the ledger already holds are
 served from it instead of recomputed (cache hits — disable with the
 ledger's ``use_cache=False``), and fresh results are appended
-*parent-side in submission order after the parallel merge*, so the ledger
-bytes are identical at any worker count.
+*parent-side in submission order* as they arrive, so the ledger bytes are
+identical at any worker count.
 """
 
 from __future__ import annotations
@@ -21,99 +21,50 @@ from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any, Callable, Iterable, Mapping, Sequence
 
 from repro.analysis.stats import Summary, summarize
-from repro.parallel import ParallelExecutionError, run_tasks, run_tasks_partial
+from repro.parallel import ParallelExecutionError
 
 if TYPE_CHECKING:  # pragma: no cover
-    from repro.obs.ledger import RunLedger
+    from repro.obs.ledger import LedgerRecord, RunLedger
     from repro.resilience.policy import FailurePolicy
 
 
-def _run_recorded(
+def _decode_value(record: "LedgerRecord") -> float | None:
+    value = record.outcome.get("value")
+    return float(value) if isinstance(value, (int, float)) else None
+
+
+def _collect_samples(
     run_task: Callable[[Any], float],
     tasks: Sequence[Any],
     cells: "Sequence[tuple[int, Mapping[str, Any]]]",
-    ledger: "RunLedger",
+    ledger: "RunLedger | None",
     experiment: str,
-    workers: int | None,
-    progress: Callable[[int, int], None] | None,
-    policy: "FailurePolicy | None" = None,
-    task_timeout: float | None = None,
-    metrics: Any = None,
-    batch_size: int | None = None,
+    **engine: Any,
 ) -> list[float]:
-    """Run tasks through the ledger: serve cached cells, record fresh ones.
+    """Run tasks in one engine call, through the ledger when one is given.
 
-    ``cells[i] = (seed, config)`` is task ``i``'s content address.  Fresh
-    tasks go through the same engine as the unrecorded path, and their
-    records checkpoint to the ledger *incrementally* in submission order
-    as results arrive — an interrupted sweep leaves a valid ledger prefix
-    behind, and the re-run recomputes only the missing fingerprints.
+    ``cells[i] = (seed, config)`` is task ``i``'s content address: cached
+    cells are served from the ledger, fresh ones checkpoint incrementally
+    in submission order as results arrive — an interrupted sweep leaves a
+    valid ledger prefix behind, and the re-run recomputes only the
+    missing fingerprints.  A terminally lost replication raises.
     """
-    from repro.obs.ledger import compute_fingerprint, make_record
-    from repro.resilience.checkpoint import LedgerCheckpointer
+    from repro.resilience.checkpoint import run_checkpointed
 
-    fingerprints = [compute_fingerprint(seed, config) for seed, config in cells]
-    results: list[float | None] = [None] * len(tasks)
-    pending: list[int] = []
-    checkpointer = LedgerCheckpointer(ledger)
-    for index, fingerprint in enumerate(fingerprints):
-        record = ledger.cached(fingerprint)
-        if record is not None and isinstance(
-            record.outcome.get("value"), (int, float)
-        ):
-            results[index] = float(record.outcome["value"])
-            checkpointer.skip(index)
-        else:
-            pending.append(index)
-
-    def checkpoint(position: int, value: float) -> None:
-        index = pending[position]
-        results[index] = value
-        seed, config = cells[index]
-        checkpointer.offer(
-            index,
-            make_record(
-                kind="sweep",
-                experiment=experiment,
-                seed=seed,
-                config=config,
-                outcome={"value": value},
-            ),
-        )
-
-    pending_tasks = [tasks[index] for index in pending]
-    if batch_size is not None:
-        # Batched dispatch reports results under the same flat indices,
-        # so the checkpointer flushes identical ledger bytes (the cell
-        # fingerprints never see the batch boundary).
-        from repro.batch import run_tasks_batched
-
-        partial = run_tasks_batched(
-            run_task,
-            pending_tasks,
-            batch_size=batch_size,
-            workers=workers,
-            progress=progress,
-            metrics=metrics,
-            policy=policy,
-            task_timeout=task_timeout,
-            on_result=checkpoint,
-        )
-    else:
-        partial = run_tasks_partial(
-            run_task,
-            pending_tasks,
-            workers=workers,
-            progress=progress,
-            metrics=metrics,
-            policy=policy,
-            task_timeout=task_timeout,
-            on_result=checkpoint,
-        )
-    checkpointer.close()
+    values, partial, _ = run_checkpointed(
+        run_task,
+        tasks,
+        ledger,
+        cells,
+        kind="sweep",
+        experiment=experiment,
+        decode=_decode_value,
+        encode=lambda value: {"value": value},
+        **engine,
+    )
     if partial.errors:
         raise ParallelExecutionError(partial.errors)
-    return [v for v in results if v is not None]
+    return [v for v in values if v is not None]
 
 
 def repeat_runs(
@@ -137,52 +88,24 @@ def repeat_runs(
     each seed's result is content-addressed by (seed, ``config`` +
     ``experiment`` label, code version): known fingerprints are cache
     hits (not recomputed), fresh ones checkpoint incrementally in seed
-    order.  ``policy``/``task_timeout`` flow to the engine (fail-fast and
-    retry policies only: a replication that is terminally lost raises —
-    silently dropping samples would skew the statistics).  ``batch_size``
-    (default: the ``REPRO_BATCH`` environment variable) groups seeds into
-    batches per pool task — and through the fused interpreter when
-    ``run_once`` carries ``batch_lane``/``batch_value`` hooks (see
-    :mod:`repro.batch`) — with results bit-identical either way.
+    order.  ``policy``/``task_timeout`` flow to the engine (a replication
+    that is terminally lost raises — silently dropping samples would skew
+    the statistics).  ``batch_size`` (default: the ``REPRO_BATCH``
+    environment variable) is the engine's dispatch unit, and routes seeds
+    through the fused interpreter when ``run_once`` carries
+    ``batch_lane``/``batch_value`` hooks (see :mod:`repro.batch`) — with
+    results bit-identical either way.
     """
-    from repro.batch import resolve_batch_size
-
     seeds = list(seeds)
-    batch_size = resolve_batch_size(batch_size)
-    if ledger is None:
-        if batch_size is not None:
-            from repro.batch import run_tasks_batched
-
-            partial = run_tasks_batched(
-                run_once,
-                seeds,
-                batch_size=batch_size,
-                workers=workers,
-                progress=progress,
-                policy=policy,
-                task_timeout=task_timeout,
-            )
-            if partial.errors:
-                raise ParallelExecutionError(partial.errors)
-            return [value for value in partial.results if value is not None]
-        return run_tasks(
-            run_once,
-            seeds,
-            workers=workers,
-            progress=progress,
-            policy=policy,
-            task_timeout=task_timeout,
-        )
     base = {"experiment": experiment, **dict(config or {})}
-    cells = [(seed, base) for seed in seeds]
-    return _run_recorded(
+    return _collect_samples(
         run_once,
         seeds,
-        cells,
+        [(seed, base) for seed in seeds],
         ledger,
         experiment,
-        workers,
-        progress,
+        workers=workers,
+        progress=progress,
         policy=policy,
         task_timeout=task_timeout,
         batch_size=batch_size,
@@ -238,11 +161,12 @@ class Sweep:
     #: Optional :class:`~repro.obs.metrics.MetricsRegistry` the engine
     #: records its dispatch shape and resilience counters into.
     metrics: Any = None
-    #: Lanes per batch (``None`` → the ``REPRO_BATCH`` environment
-    #: variable, unset meaning unbatched).  Cells whose ``run_once``
-    #: carries ``batch_lane``/``batch_value`` hooks go through the fused
-    #: struct-of-arrays interpreter; everything else runs grouped-serial.
-    #: Results and ledger bytes are identical at any batch size.
+    #: Cells per dispatched unit (``None`` → the ``REPRO_BATCH``
+    #: environment variable, unset meaning unbatched).  Cells whose
+    #: ``run_once`` carries ``batch_lane``/``batch_value`` hooks go
+    #: through the fused struct-of-arrays interpreter; everything else
+    #: runs through ``run_once``.  Results and ledger bytes are identical
+    #: at any batch size.
     batch_size: int | None = None
 
     def execute(
@@ -251,20 +175,13 @@ class Sweep:
         progress: Callable[[int, int], None] | None = None,
         batch_size: int | None = None,
     ) -> list[SweepPoint]:
-        """Run every (value, seed) cell; chunked across workers if asked.
+        """Run every (value, seed) cell in one engine call.
 
         The full cross product is submitted as one task list (better pool
         utilisation than per-point batches when repetitions are few), then
         regrouped by point in value order — output is identical to the
-        serial nested loop for any worker count.
+        serial nested loop for any worker count and batch size.
         """
-        from repro.batch import resolve_batch_size
-
-        if workers is None:
-            workers = self.workers
-        if batch_size is None:
-            batch_size = self.batch_size
-        batch_size = resolve_batch_size(batch_size)
         tasks = [
             (value, self.seed_base + rep)
             for value in self.values
@@ -272,57 +189,25 @@ class Sweep:
         ]
         run_task = lambda task: self.run_once(task[0], task[1])  # noqa: E731
         # The fused-lane hooks live on run_once; re-expose them on the
-        # task-shaped wrapper so batched dispatch can see them.
+        # task-shaped wrapper so the engine can see them.
         for hook in ("batch_lane", "batch_value"):
             bound = getattr(self.run_once, hook, None)
             if bound is not None:
                 setattr(run_task, hook, bound)
-        if self.ledger is None:
-            if batch_size is not None:
-                from repro.batch import run_tasks_batched
-
-                partial = run_tasks_batched(
-                    run_task,
-                    tasks,
-                    batch_size=batch_size,
-                    workers=workers,
-                    progress=progress,
-                    metrics=self.metrics,
-                    policy=self.policy,
-                    task_timeout=self.task_timeout,
-                )
-                if partial.errors:
-                    raise ParallelExecutionError(partial.errors)
-                samples = [v for v in partial.results if v is not None]
-            else:
-                samples = run_tasks(
-                    run_task,
-                    tasks,
-                    workers=workers,
-                    progress=progress,
-                    metrics=self.metrics,
-                    policy=self.policy,
-                    task_timeout=self.task_timeout,
-                )
-        else:
-            base = {"experiment": self.experiment, **dict(self.config or {})}
-            cells = [
-                (seed, {**base, self.parameter: value})
-                for value, seed in tasks
-            ]
-            samples = _run_recorded(
-                run_task,
-                tasks,
-                cells,
-                self.ledger,
-                self.experiment,
-                workers,
-                progress,
-                policy=self.policy,
-                task_timeout=self.task_timeout,
-                metrics=self.metrics,
-                batch_size=batch_size,
-            )
+        base = {"experiment": self.experiment, **dict(self.config or {})}
+        samples = _collect_samples(
+            run_task,
+            tasks,
+            [(seed, {**base, self.parameter: value}) for value, seed in tasks],
+            self.ledger,
+            self.experiment,
+            workers=self.workers if workers is None else workers,
+            progress=progress,
+            metrics=self.metrics,
+            policy=self.policy,
+            task_timeout=self.task_timeout,
+            batch_size=self.batch_size if batch_size is None else batch_size,
+        )
         points = []
         for i, value in enumerate(self.values):
             chunk = samples[i * self.repetitions : (i + 1) * self.repetitions]

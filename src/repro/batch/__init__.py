@@ -1,26 +1,13 @@
 """Batched struct-of-arrays execution: many simulations per process.
 
 :mod:`repro.batch.engine` is the fused step-loop interpreter (lanes of
-independent seeded ADS runs, bit-identical to the serial runtime);
-:mod:`repro.batch.dispatch` wires it under the campaign entry points as
-a ``batch_size`` knob that composes with the process pool.  See
-``docs/performance.md`` ("Batched execution").
+independent seeded ADS runs, bit-identical to the serial runtime).  The
+parallel engine runs it under every campaign entry point: with a
+``batch_size`` set, each dispatched unit sends the tasks whose function
+opts in (``batch_lane``/``batch_value`` hooks) through :func:`run_lanes`.
+See ``docs/performance.md`` ("Batched execution").
 """
 
-from repro.batch.dispatch import (
-    BATCH_ENV,
-    make_batch_task,
-    resolve_batch_size,
-    run_tasks_batched,
-)
 from repro.batch.engine import LaneResult, LaneSpec, run_lanes
 
-__all__ = [
-    "BATCH_ENV",
-    "LaneResult",
-    "LaneSpec",
-    "make_batch_task",
-    "resolve_batch_size",
-    "run_lanes",
-    "run_tasks_batched",
-]
+__all__ = ["LaneResult", "LaneSpec", "run_lanes"]

@@ -37,10 +37,10 @@ never blocks the batch.
 non-default protocol configuration, ``n < 2``, non-binary inputs, an
 ill-formed counter decode, a walk overflow, an exhausted step budget —
 marks the lane with a ``fallback`` reason instead of guessing.  Callers
-(see :mod:`repro.batch.dispatch`) re-run fallback lanes through the
-ordinary serial entry point, which reproduces the serial result *or the
-serial exception* exactly.  The fast path is an optimisation, never a
-semantic fork.
+(see :func:`repro.parallel.run_tasks_partial`) re-run fallback lanes
+through the ordinary serial entry point, which reproduces the serial
+result *or the serial exception* exactly.  The fast path is an
+optimisation, never a semantic fork.
 
 The graph work of the protocol step (counter decode, longest-path
 distances, leader sets, counter increments) is memoised on the edge-row

@@ -1361,7 +1361,7 @@ def build_parser() -> argparse.ArgumentParser:
         type=_batch_arg,
         default=None,
         metavar="N",
-        help="cells per batch task (default REPRO_BATCH; results "
+        help="cells per dispatched unit (default REPRO_BATCH; results "
         "identical at any batch size)",
     )
     chaos.add_argument(

@@ -38,9 +38,10 @@ from typing import Any
 from repro.consensus.ads import AdsConsensus
 from repro.consensus.validation import validate_run
 from repro.faults.plan import FAULT_KINDS, FaultPlan
-from repro.parallel import ParallelExecutionError, run_tasks_partial
+from repro.parallel import ParallelExecutionError
 from repro.registers.atomic import AtomicRegister
 from repro.registers.linearizability import HistoryOp, check_register_history
+from repro.resilience.checkpoint import run_checkpointed
 from repro.runtime.scheduler import RoundRobinScheduler
 from repro.runtime.simulation import Simulation
 from repro.snapshot.arrows import ArrowScannableMemory
@@ -359,50 +360,8 @@ def run_mutation_campaign(
 
     if task_wrapper is not None:
         run_spec = task_wrapper(run_spec)
-    continue_mode = policy is not None and policy.mode == "continue"
-
     # Campaign cells build fault-injected simulations, so there is no
-    # fused fast path — batching groups cells per pool task (identical
-    # report, fewer fork/IPC round-trips).
-    from repro.batch import resolve_batch_size
-
-    batch_size = resolve_batch_size(batch_size)
-
-    def dispatch(tasks, on_result=None):
-        if batch_size is not None:
-            from repro.batch import run_tasks_batched
-
-            return run_tasks_batched(
-                run_spec,
-                tasks,
-                batch_size=batch_size,
-                workers=workers,
-                policy=policy,
-                task_timeout=task_timeout,
-                metrics=metrics,
-                on_result=on_result,
-            )
-        return run_tasks_partial(
-            run_spec,
-            tasks,
-            workers=workers,
-            policy=policy,
-            task_timeout=task_timeout,
-            metrics=metrics,
-            on_result=on_result,
-        )
-
-    if ledger is None:
-        partial = dispatch(specs)
-        if partial.errors and not continue_mode:
-            raise ParallelExecutionError(partial.errors)
-        report.cells = [cell for cell in partial.results if cell is not None]
-        report.task_errors = [str(error) for error in partial.errors]
-        return report
-
-    from repro.obs.ledger import compute_fingerprint, make_record
-    from repro.resilience.checkpoint import LedgerCheckpointer
-
+    # fused fast path: a batch size only sets the dispatch unit.
     configs = [
         {
             "experiment": experiment,
@@ -412,37 +371,25 @@ def run_mutation_campaign(
         }
         for layer, fault in specs
     ]
-    fingerprints = [compute_fingerprint(seed, config) for config in configs]
-    cells: list[CampaignCell | None] = [None] * len(specs)
-    pending: list[int] = []
-    checkpointer = LedgerCheckpointer(ledger)
-    for index, fingerprint in enumerate(fingerprints):
-        record = ledger.cached(fingerprint)
-        if record is not None and record.kind == "campaign":
-            cells[index] = CampaignCell(**record.outcome)
-            checkpointer.skip(index)
-            report.cache_hits += 1
-        else:
-            pending.append(index)
-
-    def checkpoint(position: int, cell: CampaignCell) -> None:
-        index = pending[position]
-        cells[index] = cell
-        checkpointer.offer(
-            index,
-            make_record(
-                kind="campaign",
-                experiment=experiment,
-                seed=seed,
-                config=configs[index],
-                outcome=dataclasses.asdict(cell),
-            ),
-        )
-
-    partial = dispatch([specs[index] for index in pending], on_result=checkpoint)
-    checkpointer.close()
-    if partial.errors and not continue_mode:
+    values, partial, report.cache_hits = run_checkpointed(
+        run_spec,
+        specs,
+        ledger,
+        [(seed, config) for config in configs],
+        kind="campaign",
+        experiment=experiment,
+        decode=lambda record: (
+            CampaignCell(**record.outcome) if record.kind == "campaign" else None
+        ),
+        encode=dataclasses.asdict,
+        workers=workers,
+        policy=policy,
+        task_timeout=task_timeout,
+        metrics=metrics,
+        batch_size=batch_size,
+    )
+    if partial.errors and (policy is None or policy.mode != "continue"):
         raise ParallelExecutionError(partial.errors)
-    report.cells = [cell for cell in cells if cell is not None]
+    report.cells = [cell for cell in values if cell is not None]
     report.task_errors = [str(error) for error in partial.errors]
     return report

@@ -10,6 +10,7 @@ from repro.parallel.engine import (
     ParallelExecutionError,
     TaskError,
     available_workers,
+    resolve_batch_size,
     resolve_workers,
     run_tasks,
     run_tasks_partial,
@@ -19,6 +20,7 @@ __all__ = [
     "ParallelExecutionError",
     "TaskError",
     "available_workers",
+    "resolve_batch_size",
     "resolve_workers",
     "run_tasks",
     "run_tasks_partial",

@@ -1,48 +1,57 @@
 """The process-pool execution engine behind every ``--workers`` flag.
 
 Every replicated workload in this repository — benchmark sweeps, the fuzz
-grid, the mutation campaign — is an embarrassingly parallel loop over
-independent *(params, seed)* simulation tasks: each task builds its own
-:class:`~repro.runtime.simulation.Simulation` with its own derived rng
-streams and never touches shared state.  :func:`run_tasks` fans such tasks
-out across worker processes and reassembles the results **in submission
-order**, so the merged output is bit-identical to the serial loop for any
-worker count:
+grid, the mutation campaign, serve jobs — is an embarrassingly parallel
+loop over independent *(params, seed)* simulation tasks: each task builds
+its own :class:`~repro.runtime.simulation.Simulation` with its own derived
+rng streams and never touches shared state.  :func:`run_tasks` fans such
+tasks out across worker processes and reassembles the results **in
+submission order**, so the merged output is bit-identical to the serial
+loop for any worker count:
 
 - per-task randomness is derived from the task itself (seed in, streams
   out), never from execution order or worker identity;
 - results are keyed by task index during collection and reassembled into
   submission order before returning (order-insensitive merge);
-- ``workers <= 1`` short-circuits to a plain in-process loop — the exact
-  code path the serial callers always used.
+- ``workers <= 1`` runs a plain in-process loop.
 
-Worker failures never hang the pool: an exception inside a task comes back
-as a structured :class:`TaskError` (worker pid, task params, seed, full
-traceback) and :func:`run_tasks` raises :class:`ParallelExecutionError`
-carrying every failure, after all surviving tasks finished.  A worker
-*process* dying outright (segfault, ``os._exit``) is surfaced the same way
-via the executor's broken-pool detection.
+Tasks are dispatched in *units* of consecutive tasks.  The unit size is
+worked out, not set: ``batch_size`` tasks when a batch size is given
+(argument, else ``REPRO_BATCH``); one task when the call needs per-task
+isolation (any policy other than plain fail-fast, a deadline, or
+admission control); otherwise ``ceil(len(tasks) / (4 * workers))`` tasks,
+which amortises IPC while keeping the pool load-balanced.  With a batch
+size, a task function carrying ``batch_lane``/``batch_value`` hooks runs
+each unit's eligible tasks through the fused interpreter
+(:func:`repro.batch.engine.run_lanes`) first and the rest through itself.
 
-On top of the plain path sits the resilient path
-(:func:`run_tasks_partial`), driven by a
-:class:`~repro.resilience.policy.FailurePolicy`: failed or killed tasks
-can be retried with seeded exponential backoff, tasks can carry per-task
-wall-clock deadlines (an overdue worker is killed, mirroring
-``repro.faults.watchdog`` semantics at the pool level), an
+With ``workers >= 2`` one supervised pool runs the units: it forks up to
+``workers`` daemon processes that live for the whole call.  A worker gets
+its first unit as a fork argument (inherited with the task function, so
+neither is pickled) and later units over its pipe, and answers each unit
+with one message listing every task's result or :class:`TaskError` — a
+task that raises fails alone.  A worker that dies outright (SIGKILL,
+segfault, ``os._exit``) or outlives its unit's wall-clock deadline is
+killed, and every task of its unit is charged ``WorkerDied`` or
+``TaskTimeout``.  When no unit is ready or waiting out a retry backoff,
+an idle worker is told to exit at once.  A single unit runs in-process
+only when it needs no isolation.
+
+Failures never hang and never raise mid-call.  :func:`run_tasks_partial`
+runs under a :class:`~repro.resilience.policy.FailurePolicy`: a failed
+unit is retried as a whole with seeded exponential backoff, an
 :class:`~repro.resilience.budget.AdmissionController` can shed work under
-budget pressure, and the caller receives a structured
-:class:`~repro.resilience.policy.PartialResult` instead of an exception.
+budget pressure, and the caller receives a
+:class:`~repro.resilience.policy.PartialResult`; :func:`run_tasks` raises
+:class:`ParallelExecutionError` carrying every terminal failure instead.
 Because every task re-runs from its own seed, a retried campaign's merged
-output stays bit-identical to an undisturbed run.  The resilient parallel
-path supervises one forked process per task (no chunking) so a single
-task can be killed or retried without collateral damage; the plain path
-keeps the chunked pool for throughput.
+output stays bit-identical to an undisturbed run.
 
 The engine uses the ``fork`` start method so the task function — which may
 be a closure or lambda (protocol factories, scheduler tables) — is
 inherited by the workers instead of pickled.  Task inputs and results
 still cross the process boundary and must be picklable.  On platforms
-without ``fork`` the engine degrades to the serial path rather than
+without ``fork`` the engine degrades to the in-process loop rather than
 failing (documented in ``docs/performance.md``).
 """
 
@@ -54,7 +63,6 @@ import os
 import time
 import traceback
 from collections import deque
-from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 from dataclasses import dataclass
 from multiprocessing import connection
 from typing import TYPE_CHECKING, Any, Callable, Iterable, Sequence
@@ -67,6 +75,7 @@ __all__ = [
     "ParallelExecutionError",
     "TaskError",
     "available_workers",
+    "resolve_batch_size",
     "resolve_workers",
     "run_tasks",
     "run_tasks_partial",
@@ -76,6 +85,17 @@ __all__ = [
 #: everywhere) — lets a shell opt whole programs into parallelism without
 #: threading a flag through every call-site.
 WORKERS_ENV = "REPRO_WORKERS"
+
+#: Environment variable consulted when ``batch_size=None`` — the batched
+#: analogue of :data:`WORKERS_ENV`.
+BATCH_ENV = "REPRO_BATCH"
+
+#: A dispatched unit is a list of ``(index, task)`` pairs; its answer is
+#: one ``(status, index, payload)`` outcome per task, where status ``"ok"``
+#: carries the result and ``"err"`` a :class:`TaskError`.
+_Unit = list[tuple[int, Any]]
+_Outcome = tuple[str, int, Any]
+_RunUnit = Callable[[_Unit], list[_Outcome]]
 
 
 @dataclass(frozen=True)
@@ -159,6 +179,39 @@ def resolve_workers(workers: int | None) -> int:
     return workers
 
 
+def resolve_batch_size(batch_size: int | None = None) -> int | None:
+    """Validate a batch size, falling back to :data:`BATCH_ENV`.
+
+    Unlike ``workers`` there is no "0 = auto" convention: a batch is a
+    lane count, so only positive integers make sense.  ``None`` (and an
+    unset/empty environment variable) means batching is off.
+    """
+    if batch_size is None:
+        raw = os.environ.get(BATCH_ENV, "").strip()
+        if not raw:
+            return None
+        try:
+            value = int(raw)
+        except ValueError:
+            raise ValueError(
+                f"{BATCH_ENV}={raw!r} is not an integer; set it to a "
+                "positive lane count (unset it to disable batching)"
+            ) from None
+        if value < 1:
+            raise ValueError(
+                f"{BATCH_ENV}={raw!r} must be >= 1 (lanes per batch); "
+                "unset it to disable batching"
+            )
+        return value
+    if isinstance(batch_size, bool) or not isinstance(batch_size, int):
+        raise TypeError(
+            f"batch_size must be a positive integer or None, got {batch_size!r}"
+        )
+    if batch_size < 1:
+        raise ValueError(f"batch_size must be >= 1, got {batch_size}")
+    return batch_size
+
+
 def _fork_available() -> bool:
     return "fork" in multiprocessing.get_all_start_methods()
 
@@ -190,31 +243,122 @@ def _task_error(index: int, task: Any, exc: BaseException) -> TaskError:
     )
 
 
-# The task function is installed into this module-level slot *before* the
-# pool forks, so workers inherit it through the forked address space and it
-# never needs to be picklable (closures and lambdas included).
-_WORKER_FN: Callable[[Any], Any] | None = None
+def _unit_runner(
+    fn: Callable[[Any], Any], fused: bool, catch: type[BaseException]
+) -> _RunUnit:
+    """The function that runs one unit of ``(index, task)`` pairs.
 
-
-def _install_worker_fn(fn: Callable[[Any], Any]) -> None:
-    global _WORKER_FN
-    _WORKER_FN = fn
-
-
-def _run_chunk(chunk: list[tuple[int, Any]]) -> list[tuple[str, int, Any]]:
-    """Worker-side entry point: run a chunk, never raise.
-
-    Returns ``("ok", index, result)`` or ``("err", index, payload)`` triples
-    so one bad task cannot take down its chunk-mates or the pool.
+    With ``fused`` set and ``fn`` carrying ``batch_lane``/``batch_value``
+    hooks, the unit's eligible tasks run as lanes of one
+    :func:`~repro.batch.engine.run_lanes` call first; a task whose hook
+    returns ``None`` or whose lane falls back runs through ``fn``, which
+    reproduces the serial result or exception exactly.  Exceptions of
+    class ``catch`` become ``"err"`` outcomes of the task that raised.
     """
-    out: list[tuple[str, int, Any]] = []
-    for index, task in chunk:
-        try:
-            assert _WORKER_FN is not None, "worker forked before fn install"
-            out.append(("ok", index, _WORKER_FN(task)))
-        except BaseException as exc:  # noqa: BLE001 - converted to data
-            out.append(("err", index, _task_error(index, task, exc)))
-    return out
+    lane_of = getattr(fn, "batch_lane", None) if fused else None
+    value_of = getattr(fn, "batch_value", None)
+    if value_of is None:
+        lane_of = None
+
+    def run_unit(unit: _Unit) -> list[_Outcome]:
+        values: dict[int, Any] = {}
+        if lane_of is not None:
+            from repro.batch import engine as batch_engine
+
+            try:
+                lanes = [
+                    (index, task, spec)
+                    for index, task in unit
+                    if (spec := lane_of(task)) is not None
+                ]
+                if lanes:
+                    results = batch_engine.run_lanes([lane[2] for lane in lanes])
+                    for (index, task, _), lane in zip(lanes, results):
+                        if lane.fallback is None:
+                            value = value_of(task, lane)
+                            if value is not None:
+                                values[index] = value
+            except catch as exc:
+                return [
+                    ("err", index, _task_error(index, task, exc))
+                    for index, task in unit
+                ]
+        outcomes: list[_Outcome] = []
+        for index, task in unit:
+            if index in values:
+                outcomes.append(("ok", index, values[index]))
+                continue
+            try:
+                outcomes.append(("ok", index, fn(task)))
+            except catch as exc:
+                outcomes.append(("err", index, _task_error(index, task, exc)))
+        return outcomes
+
+    return run_unit
+
+
+class _Collector:
+    """Parent-side bookkeeping shared by the in-process loop and the pool:
+    results, policy decisions, progress and the caller's hooks."""
+
+    def __init__(
+        self,
+        total: int,
+        policy: "FailurePolicy",
+        progress: Callable[[int, int], None] | None,
+        on_result: Callable[[int, Any], None] | None,
+        admission: "AdmissionController | None",
+    ):
+        from repro.resilience.policy import PartialResult
+
+        self.partial = PartialResult(results=[None] * total)
+        self.policy = policy
+        self.progress = progress
+        self.on_result = on_result
+        self.admission = admission
+        self.done = 0
+
+    def admit(self, index: int, task: Any) -> bool:
+        """Ask admission control about one task; a refused task is shed."""
+        if self.admission is None or self.admission.admit(task).admitted:
+            return True
+        self.partial.shed += 1
+        self.partial.shed_indices.append(index)
+        self._advance(1)
+        return False
+
+    def settle(
+        self, outcomes: list[_Outcome], attempt: int, timed_out: bool = False
+    ) -> tuple[int, ...]:
+        """Record one unit attempt's outcomes.
+
+        Returns the indices of the failed tasks when the policy retries
+        them (as one unit, at ``attempt + 1``), else ``()`` — their errors
+        are then terminal.
+        """
+        errors = []
+        for status, index, payload in outcomes:
+            if status == "ok":
+                self.partial.results[index] = payload
+                if self.on_result is not None:
+                    self.on_result(index, payload)
+                if self.admission is not None:
+                    self.admission.charge(payload)
+            else:
+                errors.append(payload)
+        if errors and self.policy.should_retry(attempt, timed_out):
+            self.partial.retries += 1
+            self._advance(len(outcomes) - len(errors))
+            return tuple(error.index for error in errors)
+        self.partial.errors.extend(errors)
+        self._advance(len(outcomes))
+        return ()
+
+    def _advance(self, count: int) -> None:
+        if count:
+            self.done += count
+            if self.progress is not None:
+                self.progress(self.done, len(self.partial.results))
 
 
 def _record_engine_metrics(
@@ -248,317 +392,247 @@ def _record_resilience_metrics(metrics: Any, partial: "PartialResult") -> None:
             metrics.counter(key).inc(value)
 
 
-def _run_serial_partial(
-    fn: Callable[[Any], Any],
+def _run_in_process(
+    run_unit: _RunUnit,
     tasks: Sequence[Any],
-    policy: "FailurePolicy",
-    progress: Callable[[int, int], None] | None,
-    on_result: Callable[[int, Any], None] | None,
-    admission: "AdmissionController | None",
-) -> "PartialResult":
-    """The in-process path: retries inline, deadlines not enforced.
+    size: int,
+    collector: _Collector,
+) -> None:
+    """The in-process loop: retries inline, deadlines not enforced.
 
     Wall-clock timeouts need a killable worker process, so ``task_timeout``
     is a no-op here (callers wanting enforcement use ``workers >= 2``).
     """
-    from repro.resilience.policy import PartialResult
-
-    partial = PartialResult(results=[None] * len(tasks))
-    done = 0
-    for index, task in enumerate(tasks):
-        if admission is not None and not admission.admit(task).admitted:
-            partial.shed += 1
-            partial.shed_indices.append(index)
-            done += 1
-            if progress is not None:
-                progress(done, len(tasks))
-            continue
+    policy = collector.policy
+    for start in range(0, len(tasks), size):
+        unit = tuple(
+            index
+            for index in range(start, min(start + size, len(tasks)))
+            if collector.admit(index, tasks[index])
+        )
         attempt = 1
-        while True:
-            try:
-                value = fn(task)
-            except Exception as exc:
-                error = _task_error(index, task, exc)
-                if policy.should_retry(attempt, timed_out=False):
-                    partial.retries += 1
-                    delay = policy.backoff.delay(index, attempt)
-                    if delay > 0:
-                        time.sleep(delay)
-                    attempt += 1
-                    continue
-                partial.errors.append(error)
-                break
-            partial.results[index] = value
-            if on_result is not None:
-                on_result(index, value)
-            if admission is not None:
-                admission.charge(value)
-            break
-        done += 1
-        if progress is not None:
-            progress(done, len(tasks))
-    return partial
+        while unit:
+            outcomes = run_unit([(index, tasks[index]) for index in unit])
+            retry = collector.settle(outcomes, attempt)
+            if retry:
+                delay = policy.backoff.delay(retry[0], attempt)
+                if delay > 0:
+                    time.sleep(delay)
+            unit, attempt = retry, attempt + 1
 
 
-def _run_chunked(
-    fn: Callable[[Any], Any],
-    tasks: Sequence[Any],
-    count: int,
-    chunksize: int | None,
-    progress: Callable[[int, int], None] | None,
-    on_result: Callable[[int, Any], None] | None,
-) -> tuple["PartialResult", int]:
-    """The plain chunked pool: maximum throughput, all-or-nothing chunks."""
-    from repro.resilience.policy import PartialResult
-
-    if chunksize is None:
-        chunksize = max(1, -(-len(tasks) // (4 * count)))
-    indexed = list(enumerate(tasks))
-    chunks = [
-        indexed[start : start + chunksize]
-        for start in range(0, len(tasks), chunksize)
-    ]
-    partial = PartialResult(results=[None] * len(tasks))
-    done = 0
-    _install_worker_fn(fn)
-    context = multiprocessing.get_context("fork")
-    try:
-        with ProcessPoolExecutor(max_workers=count, mp_context=context) as pool:
-            pending = {pool.submit(_run_chunk, chunk): chunk for chunk in chunks}
-            while pending:
-                finished, _ = wait(pending, return_when=FIRST_COMPLETED)
-                for future in finished:
-                    chunk = pending.pop(future)
-                    exc = future.exception()
-                    if exc is not None:
-                        # The worker process died without reporting (e.g.
-                        # os._exit or a segfault): attribute the loss to
-                        # every task of the chunk it was holding.
-                        for index, task in chunk:
-                            params, seed = _describe_task(task)
-                            partial.errors.append(
-                                TaskError(
-                                    index=index,
-                                    params=params,
-                                    seed=seed,
-                                    worker_pid=-1,
-                                    exc_type=type(exc).__name__,
-                                    message=str(exc) or "worker process died",
-                                )
-                            )
-                    else:
-                        for status, index, payload in future.result():
-                            if status == "ok":
-                                partial.results[index] = payload
-                                if on_result is not None:
-                                    on_result(index, payload)
-                            else:
-                                partial.errors.append(payload)
-                    done += len(chunk)
-                    if progress is not None:
-                        progress(done, len(tasks))
-    finally:
-        _install_worker_fn(None)  # type: ignore[arg-type]
-    return partial, len(chunks)
-
-
-def _supervised_entry(
-    conn: connection.Connection, fn: Callable[[Any], Any], index: int, task: Any
+def _worker(
+    conn: connection.Connection,
+    parent_end: connection.Connection,
+    run_unit: _RunUnit,
+    unit: _Unit | None,
 ) -> None:
-    """Worker-side entry for the supervised pool: one task, one report.
+    """Worker process body: answer units until told to stop.
 
-    Sends ``("ok", result)`` or ``("err", TaskError)`` through the pipe;
-    a worker that dies outright (SIGKILL, segfault) sends nothing and the
-    parent reads EOF instead.
+    The first unit arrives as a fork argument, later ones over the pipe;
+    ``None`` means exit.  A worker that dies outright sends nothing and
+    the parent reads EOF instead.
     """
-    try:
-        value = fn(task)
-    except BaseException as exc:  # noqa: BLE001 - converted to data
-        message: tuple[str, Any] = ("err", _task_error(index, task, exc))
-    else:
-        message = ("ok", value)
-    try:
-        conn.send(message)
-    except BaseException as exc:  # noqa: BLE001 - e.g. unpicklable result
+    # Drop the inherited copy of the parent's end, so a vanished parent
+    # reads as EOF here instead of leaving this worker blocked forever.
+    parent_end.close()
+    while unit is not None:
+        outcomes = run_unit(unit)
         try:
-            conn.send(("err", _task_error(index, task, exc)))
-        except BaseException:  # pragma: no cover - pipe gone
-            pass
-    finally:
+            conn.send(outcomes)
+        except OSError:
+            return  # the parent is gone
+        except Exception as exc:  # noqa: BLE001 - e.g. an unpicklable result
+            conn.send(
+                [("err", index, _task_error(index, task, exc)) for index, task in unit]
+            )
+        try:
+            unit = conn.recv()
+        except (EOFError, OSError):
+            return
+
+
+@dataclass
+class _Slot:
+    """One live pool worker and the unit it holds (``None`` when idle)."""
+
+    process: Any
+    unit: tuple[int, ...] | None
+    attempt: int
+    deadline: float | None
+
+
+def _run_pool(
+    run_unit: _RunUnit,
+    tasks: Sequence[Any],
+    size: int,
+    count: int,
+    task_timeout: float | None,
+    collector: _Collector,
+) -> int:
+    """The supervised pool; returns the number of units dispatched.
+
+    Deadlines are enforced parent-side: a worker still running its unit
+    past ``task_timeout`` seconds is SIGKILLed (the pool-level analogue of
+    the simulation watchdog's livelock halt).
+    """
+    admitted = [
+        index for index, task in enumerate(tasks) if collector.admit(index, task)
+    ]
+    ready: deque[tuple[tuple[int, ...], int]] = deque(
+        (tuple(admitted[start : start + size]), 1)
+        for start in range(0, len(admitted), size)
+    )
+    delayed: list[tuple[float, tuple[int, ...], int]] = []  # heap by ready_at
+    slots: dict[connection.Connection, _Slot] = {}
+    retired: list[Any] = []
+    context = multiprocessing.get_context("fork")
+    dispatched = 0
+
+    def deadline() -> float | None:
+        return None if task_timeout is None else time.monotonic() + task_timeout
+
+    def settle(outcomes: list[_Outcome], attempt: int, timed_out: bool) -> None:
+        retry = collector.settle(outcomes, attempt, timed_out)
+        if retry:
+            delay = collector.policy.backoff.delay(retry[0], attempt)
+            heapq.heappush(delayed, (time.monotonic() + delay, retry, attempt + 1))
+
+    def lost(slot: _Slot, exc_type: str, message: str) -> list[_Outcome]:
+        """Charge every task of a killed or dead worker's unit."""
+        assert slot.unit is not None
+        outcomes: list[_Outcome] = []
+        for index in slot.unit:
+            params, seed = _describe_task(tasks[index])
+            error = TaskError(
+                index=index,
+                params=params,
+                seed=seed,
+                worker_pid=slot.process.pid or -1,
+                exc_type=exc_type,
+                message=message,
+            )
+            outcomes.append(("err", index, error))
+        return outcomes
+
+    def drop(conn: connection.Connection) -> None:
+        process = slots.pop(conn).process
+        process.kill()
+        process.join()
         conn.close()
 
-
-def _run_supervised(
-    fn: Callable[[Any], Any],
-    tasks: Sequence[Any],
-    count: int,
-    policy: "FailurePolicy",
-    task_timeout: float | None,
-    progress: Callable[[int, int], None] | None,
-    on_result: Callable[[int, Any], None] | None,
-    admission: "AdmissionController | None",
-) -> tuple["PartialResult", int]:
-    """The resilient pool: one forked process per task attempt.
-
-    Per-attempt processes cost more than chunked dispatch but buy exact
-    fault isolation — a killed, hung or crashed task loses only itself,
-    and its retry re-runs from the original seed on a fresh process.
-    Deadlines are enforced parent-side: an attempt still running past
-    ``task_timeout`` seconds is SIGKILLed (the pool-level analogue of the
-    simulation watchdog's livelock halt).
-    """
-    from repro.resilience.policy import PartialResult
-
-    total = len(tasks)
-    partial = PartialResult(results=[None] * total)
-    ready: deque[tuple[int, int]] = deque()  # (index, attempt)
-    delayed: list[tuple[float, int, int]] = []  # heap of (ready_at, ...)
-    for index, task in enumerate(tasks):
-        if admission is not None and not admission.admit(task).admitted:
-            partial.shed += 1
-            partial.shed_indices.append(index)
-            continue
-        ready.append((index, 1))
-    done = partial.shed
-    if progress is not None and done:
-        progress(done, total)
-    dispatches = 0
-    # conn -> (process, index, attempt, deadline)
-    running: dict[connection.Connection, tuple[Any, int, int, float | None]] = {}
-    context = multiprocessing.get_context("fork")
-
-    def settle_failure(
-        index: int, attempt: int, error: TaskError, timed_out: bool
-    ) -> None:
-        nonlocal done
-        if policy.should_retry(attempt, timed_out):
-            partial.retries += 1
-            ready_at = time.monotonic() + policy.backoff.delay(index, attempt)
-            heapq.heappush(delayed, (ready_at, index, attempt + 1))
-            return
-        partial.errors.append(error)
-        done += 1
-        if progress is not None:
-            progress(done, total)
+    def feed(conn: connection.Connection, slot: _Slot) -> None:
+        """Hand an idle worker the next ready unit, or retire it when
+        nothing is ready or delayed; otherwise it waits for a retry."""
+        nonlocal dispatched
+        if ready:
+            slot.unit, slot.attempt = ready.popleft()
+            slot.deadline = deadline()
+            dispatched += 1
+            try:
+                conn.send([(index, tasks[index]) for index in slot.unit])
+            except OSError:
+                pass  # a dead worker reads as EOF below
+        elif not delayed:
+            try:
+                conn.send(None)
+            except OSError:
+                pass
+            conn.close()
+            retired.append(slots.pop(conn).process)
 
     try:
-        while ready or delayed or running:
+        while True:
             now = time.monotonic()
             while delayed and delayed[0][0] <= now:
-                _, index, attempt = heapq.heappop(delayed)
-                ready.append((index, attempt))
-            while ready and len(running) < count:
-                index, attempt = ready.popleft()
-                parent_conn, child_conn = context.Pipe(duplex=False)
-                proc = context.Process(
-                    target=_supervised_entry,
-                    args=(child_conn, fn, index, tasks[index]),
+                _, unit, attempt = heapq.heappop(delayed)
+                ready.append((unit, attempt))
+            for conn, slot in list(slots.items()):
+                if slot.unit is None:
+                    feed(conn, slot)
+            while ready and len(slots) < count:
+                unit, attempt = ready.popleft()
+                parent_end, child_end = context.Pipe()
+                process = context.Process(
+                    target=_worker,
+                    args=(
+                        child_end,
+                        parent_end,
+                        run_unit,
+                        [(index, tasks[index]) for index in unit],
+                    ),
                     daemon=True,
                 )
-                proc.start()
-                # Close the parent's copy of the write end immediately so a
-                # dead worker yields EOF (and later forks don't inherit it).
-                child_conn.close()
-                deadline = (
-                    time.monotonic() + task_timeout
-                    if task_timeout is not None
-                    else None
-                )
-                running[parent_conn] = (proc, index, attempt, deadline)
-                dispatches += 1
-            if not running:
-                if delayed:
-                    time.sleep(max(0.0, delayed[0][0] - time.monotonic()))
+                process.start()
+                # Close the parent's copy of the child end at once, so a
+                # dead worker yields EOF and later forks don't inherit it.
+                child_end.close()
+                slots[parent_end] = _Slot(process, unit, attempt, deadline())
+                dispatched += 1
+            busy = [conn for conn, slot in slots.items() if slot.unit is not None]
+            if not busy:
+                if not delayed:
+                    break
+                time.sleep(max(0.0, delayed[0][0] - time.monotonic()))
                 continue
-            wake_at: float | None = None
-            for _, _, _, deadline in running.values():
-                if deadline is not None:
-                    wake_at = (
-                        deadline if wake_at is None else min(wake_at, deadline)
-                    )
+            wake = [
+                slots[conn].deadline
+                for conn in busy
+                if slots[conn].deadline is not None
+            ]
             if delayed:
-                next_ready = delayed[0][0]
-                wake_at = (
-                    next_ready if wake_at is None else min(wake_at, next_ready)
-                )
-            timeout = (
-                None if wake_at is None else max(0.0, wake_at - time.monotonic())
-            )
-            for conn in connection.wait(list(running), timeout=timeout):
-                proc, index, attempt, _deadline = running.pop(
-                    conn  # type: ignore[arg-type]
-                )
+                wake.append(delayed[0][0])
+            timeout = max(0.0, min(wake) - time.monotonic()) if wake else None
+            for conn in connection.wait(busy, timeout=timeout):
+                slot = slots[conn]
                 try:
-                    status, payload = conn.recv()
+                    outcomes = conn.recv()
                 except (EOFError, OSError):
-                    status, payload = "died", None
-                conn.close()
-                proc.join()
-                if status == "ok":
-                    partial.results[index] = payload
-                    if on_result is not None:
-                        on_result(index, payload)
-                    if admission is not None:
-                        admission.charge(payload)
-                    done += 1
-                    if progress is not None:
-                        progress(done, total)
-                elif status == "err":
-                    settle_failure(index, attempt, payload, timed_out=False)
-                else:
-                    params, seed = _describe_task(tasks[index])
-                    error = TaskError(
-                        index=index,
-                        params=params,
-                        seed=seed,
-                        worker_pid=proc.pid or -1,
-                        exc_type="WorkerDied",
-                        message=(
-                            "worker process exited without reporting "
-                            f"(exitcode {proc.exitcode})"
-                        ),
+                    drop(conn)
+                    outcomes = lost(
+                        slot,
+                        "WorkerDied",
+                        "worker process exited without reporting "
+                        f"(exitcode {slot.process.exitcode})",
                     )
-                    settle_failure(index, attempt, error, timed_out=False)
-            # Deadlines are enforced after draining completions, so a task
+                    settle(outcomes, slot.attempt, timed_out=False)
+                    continue
+                # Hand out the next unit before booking this one, so the
+                # worker computes while the parent writes checkpoints.
+                attempt, slot.unit = slot.attempt, None
+                if ready:
+                    feed(conn, slot)
+                settle(outcomes, attempt, timed_out=False)
+                if slot.unit is None:
+                    feed(conn, slot)
+            # Deadlines are enforced after draining completions, so a unit
             # that finished in time is never killed by a slow parent loop.
             now = time.monotonic()
-            overdue = [
-                conn
-                for conn, (_, _, _, deadline) in running.items()
-                if deadline is not None and deadline <= now
-            ]
-            for conn in overdue:
-                proc, index, attempt, _deadline = running.pop(conn)
-                proc.kill()
-                proc.join()
-                conn.close()
-                partial.timeouts += 1
-                params, seed = _describe_task(tasks[index])
-                error = TaskError(
-                    index=index,
-                    params=params,
-                    seed=seed,
-                    worker_pid=proc.pid or -1,
-                    exc_type="TaskTimeout",
-                    message=(
-                        f"task exceeded its {task_timeout:.3f}s deadline "
-                        "and its worker was killed"
-                    ),
+            for conn, slot in list(slots.items()):
+                if slot.unit is None or slot.deadline is None or slot.deadline > now:
+                    continue
+                drop(conn)
+                collector.partial.timeouts += 1
+                outcomes = lost(
+                    slot,
+                    "TaskTimeout",
+                    f"task exceeded its {task_timeout:.3f}s deadline "
+                    "and its worker was killed",
                 )
-                settle_failure(index, attempt, error, timed_out=True)
+                settle(outcomes, slot.attempt, timed_out=True)
     finally:
-        for conn, (proc, _, _, _) in running.items():
-            proc.kill()
-            proc.join()
-            conn.close()
-    return partial, dispatches
+        for conn in list(slots):
+            drop(conn)
+        for process in retired:
+            process.join()
+    return dispatched
 
 
 def run_tasks_partial(
     fn: Callable[[Any], Any],
     tasks: Iterable[Any],
     workers: int | None = None,
-    chunksize: int | None = None,
+    batch_size: int | None = None,
     progress: Callable[[int, int], None] | None = None,
     metrics: Any = None,
     policy: "FailurePolicy | None" = None,
@@ -580,11 +654,13 @@ def run_tasks_partial(
     Args:
         policy: the :class:`~repro.resilience.policy.FailurePolicy`
             (default fail-fast semantics: no retries; errors are still
-            *collected* here rather than raised).
-        task_timeout: per-task wall-clock deadline in seconds.  Enforced
-            only on the multi-process paths (a hung in-process task cannot
-            be killed); the worker is SIGKILLed and the task counts as a
-            timeout, retried when ``policy.retry_timeouts`` allows.
+            *collected* here rather than raised).  Retries re-dispatch the
+            failed tasks of a unit as one unit.
+        task_timeout: wall-clock deadline in seconds for each dispatched
+            unit.  Enforced only by the pool (a hung in-process task
+            cannot be killed); the worker is SIGKILLed and every task of
+            its unit counts as a timeout, retried when
+            ``policy.retry_timeouts`` allows.
         on_result: ``on_result(index, result)`` invoked in the *parent*
             for every successful result as it arrives (any order) —
             the hook incremental checkpointing hangs from.
@@ -603,34 +679,37 @@ def run_tasks_partial(
     if policy is None:
         policy = FailurePolicy.fail_fast()
     count = resolve_workers(workers)
-    needs_supervision = (
-        policy.retries_enabled
+    batch_size = resolve_batch_size(batch_size)
+    isolate = (
+        policy.mode != "fail_fast"
         or task_timeout is not None
         or admission is not None
-        or policy.mode != "fail_fast"
     )
-    if count <= 1 or len(tasks) <= 1 or not _fork_available():
-        partial = _run_serial_partial(
-            fn, tasks, policy, progress, on_result, admission
-        )
-        chunks, count = 1, 1
-    elif needs_supervision:
-        partial, chunks = _run_supervised(
-            fn,
-            tasks,
-            min(count, len(tasks)),
-            policy,
-            task_timeout,
-            progress,
-            on_result,
-            admission,
-        )
-        count = min(count, len(tasks))
+    if batch_size is not None:
+        size = batch_size
+    elif isolate:
+        size = 1
     else:
-        count = min(count, len(tasks))
-        partial, chunks = _run_chunked(
-            fn, tasks, count, chunksize, progress, on_result
-        )
+        size = max(1, -(-len(tasks) // (4 * count)))
+    units = -(-len(tasks) // size)
+    # A lone unit runs in-process only when it needs no isolation: a
+    # deadline needs a killable worker, and a crash must not take the
+    # caller down with it.
+    pooled = (
+        count > 1 and (units > 1 or (units == 1 and isolate)) and _fork_available()
+    )
+    collector = _Collector(len(tasks), policy, progress, on_result, admission)
+    run_unit = _unit_runner(
+        fn, batch_size is not None, BaseException if pooled else Exception
+    )
+    if pooled:
+        count = min(count, units)
+        chunks = _run_pool(run_unit, tasks, size, count, task_timeout, collector)
+    else:
+        # In-process there is no dispatch to amortise: only lanes group.
+        _run_in_process(run_unit, tasks, batch_size or 1, collector)
+        chunks, count = 1, 1
+    partial = collector.partial
     _record_engine_metrics(
         metrics, len(tasks), chunks, count, len(partial.errors)
     )
@@ -642,7 +721,7 @@ def run_tasks(
     fn: Callable[[Any], Any],
     tasks: Iterable[Any],
     workers: int | None = None,
-    chunksize: int | None = None,
+    batch_size: int | None = None,
     progress: Callable[[int, int], None] | None = None,
     metrics: Any = None,
     policy: "FailurePolicy | None" = None,
@@ -657,16 +736,19 @@ def run_tasks(
         tasks: the task inputs.  Each must be picklable, as must ``fn``'s
             return values.
         workers: process count; see :func:`resolve_workers`.  ``<= 1`` (the
-            default) runs the plain serial loop in this process.
-        chunksize: tasks handed to a worker per dispatch; defaults to
-            ``ceil(len(tasks) / (4 * workers))`` to amortise IPC while
-            keeping the pool load-balanced.  Ignored on the resilient
-            (per-task) path.
+            default) runs the plain loop in this process.
+        batch_size: tasks per dispatched unit; see
+            :func:`resolve_batch_size`.  ``None`` (and ``REPRO_BATCH``
+            unset) works the unit size out: one task when the call needs
+            isolation, else ``ceil(len(tasks) / (4 * workers))``.  With a
+            batch size, ``fn``'s ``batch_lane``/``batch_value`` hooks (if
+            any) route each unit through the fused interpreter.
         progress: ``progress(done, total)`` invoked in the *parent* as
-            chunks complete (serially: after every task).
+            units complete (in-process: after every unit).
         metrics: optional :class:`~repro.obs.metrics.MetricsRegistry`; the
             engine records its dispatch shape into it (``parallel.tasks``,
-            ``parallel.chunks``, ``parallel.task_failures`` counters and a
+            ``parallel.chunks`` — units dispatched to the pool, 1 for an
+            in-process run —, ``parallel.task_failures`` counters and a
             ``parallel.workers`` gauge), plus ``resilience.retries`` /
             ``resilience.timeouts`` counters when the policy fired.
         policy: optional :class:`~repro.resilience.policy.FailurePolicy`.
@@ -675,14 +757,15 @@ def run_tasks(
             ``continue`` mode returns partial results and therefore only
             makes sense with :func:`run_tasks_partial` — passing it here
             is an error.
-        task_timeout: per-task wall-clock deadline in seconds (multi-
-            process paths only); see :func:`run_tasks_partial`.
+        task_timeout: per-unit wall-clock deadline in seconds (pool only);
+            see :func:`run_tasks_partial`.
         on_result: parent-side ``on_result(index, result)`` success hook;
             see :func:`run_tasks_partial`.
 
     Returns:
         ``[fn(t) for t in tasks]`` — same values, same order, regardless of
-        worker count, completion order, or how many retries happened.
+        worker count, batch size, completion order, or how many retries
+        happened.
 
     Raises:
         ParallelExecutionError: if any task terminally failed (raised,
@@ -698,7 +781,7 @@ def run_tasks(
         fn,
         tasks,
         workers=workers,
-        chunksize=chunksize,
+        batch_size=batch_size,
         progress=progress,
         metrics=metrics,
         policy=policy,

@@ -36,7 +36,11 @@ from repro.resilience.budget import (
     CampaignBudget,
     Priority,
 )
-from repro.resilience.checkpoint import CrashOnce, LedgerCheckpointer
+from repro.resilience.checkpoint import (
+    CrashOnce,
+    LedgerCheckpointer,
+    run_checkpointed,
+)
 from repro.resilience.policy import FailurePolicy, PartialResult, RetryBackoff
 
 __all__ = [
@@ -49,4 +53,5 @@ __all__ = [
     "PartialResult",
     "Priority",
     "RetryBackoff",
+    "run_checkpointed",
 ]

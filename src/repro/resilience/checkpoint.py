@@ -14,6 +14,11 @@ in submission order, so
   tolerates) — the resumed run recomputes only the missing suffix and
   whatever cells the cache could not serve.
 
+:func:`run_checkpointed` is the one piece of ledger plumbing every
+recorded entry point (sweeps, the fuzz grid, the mutation campaign)
+shares: fingerprint each cell, serve cached records, run the rest in one
+engine call and checkpoint them through a :class:`LedgerCheckpointer`.
+
 :class:`CrashOnce` is the matching chaos tool: a task wrapper that
 SIGKILLs its own worker process exactly once per marker file, used by
 the crash-mid-campaign tests and ``repro chaos --inject-worker-crash``
@@ -25,10 +30,11 @@ from __future__ import annotations
 import os
 import signal
 from pathlib import Path
-from typing import TYPE_CHECKING, Any, Callable
+from typing import TYPE_CHECKING, Any, Callable, Mapping, Sequence
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.obs.ledger import LedgerRecord, RunLedger
+    from repro.resilience.policy import PartialResult
 
 
 class LedgerCheckpointer:
@@ -77,6 +83,74 @@ class LedgerCheckpointer:
         those stay buffered and are recomputed from cache on resume)."""
         self._pending.clear()
         self._skipped.clear()
+
+
+def run_checkpointed(
+    fn: Callable[[Any], Any],
+    tasks: Sequence[Any],
+    ledger: "RunLedger | None",
+    cells: Sequence[tuple[int, Mapping[str, Any]]],
+    *,
+    kind: str,
+    experiment: str,
+    decode: Callable[["LedgerRecord"], Any],
+    encode: Callable[[Any], Mapping[str, Any]],
+    **engine: Any,
+) -> tuple[list[Any], "PartialResult", int]:
+    """Run ``fn`` over ``tasks`` through a ledger: one engine call.
+
+    ``cells[i] = (seed, config)`` is task ``i``'s content address.  A
+    cached record that ``decode`` turns into a value (not ``None``) serves
+    its task; the other tasks go to
+    :func:`~repro.parallel.run_tasks_partial` (``engine`` holds its
+    keyword arguments), and each fresh result checkpoints as a ``kind``
+    record with ``encode(result)`` as its outcome, flushed in submission
+    order.  With ``ledger=None`` the tasks just run.
+
+    Returns ``(values, partial, cache_hits)``: ``values`` in submission
+    order with ``None`` holes for lost tasks, the engine's
+    :class:`~repro.resilience.policy.PartialResult` over the fresh tasks,
+    and the number of tasks served from the ledger.
+    """
+    from repro.parallel.engine import run_tasks_partial
+
+    if ledger is None:
+        partial = run_tasks_partial(fn, tasks, **engine)
+        return list(partial.results), partial, 0
+    from repro.obs.ledger import compute_fingerprint, make_record
+
+    values: list[Any] = [None] * len(tasks)
+    pending: list[int] = []
+    checkpointer = LedgerCheckpointer(ledger)
+    for index, (seed, config) in enumerate(cells):
+        record = ledger.cached(compute_fingerprint(seed, config))
+        value = None if record is None else decode(record)
+        if value is None:
+            pending.append(index)
+        else:
+            values[index] = value
+            checkpointer.skip(index)
+
+    def checkpoint(position: int, value: Any) -> None:
+        index = pending[position]
+        values[index] = value
+        seed, config = cells[index]
+        checkpointer.offer(
+            index,
+            make_record(
+                kind=kind,
+                experiment=experiment,
+                seed=seed,
+                config=config,
+                outcome=encode(value),
+            ),
+        )
+
+    partial = run_tasks_partial(
+        fn, [tasks[index] for index in pending], on_result=checkpoint, **engine
+    )
+    checkpointer.close()
+    return values, partial, len(tasks) - len(pending)
 
 
 class CrashOnce:

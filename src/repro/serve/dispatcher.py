@@ -11,12 +11,12 @@ exactly what makes a SIGTERM survivable: the killed server leaves a
 valid submission-order ledger prefix, the restarted one requeues the
 job and recomputes only the missing fingerprints.
 
-Execution always runs under a supervising
-:class:`~repro.resilience.policy.FailurePolicy` (``continue`` or
-``retry`` mode, never plain fail-fast): at ``workers > 1`` the engine
-then uses its supervised pool of *daemon* worker processes, which the
-kernel reaps when the server process exits — an abrupt shutdown can
-never orphan workers the way the chunked non-daemon pool could.
+Jobs run under the server's
+:class:`~repro.resilience.policy.FailurePolicy` (continue-and-report by
+default).  At ``workers > 1`` the engine runs them on its supervised pool
+of *daemon* worker processes; a worker whose server has vanished exits at
+its next pipe read or write, so an abrupt shutdown never leaves workers
+behind for longer than the unit they were running.
 """
 
 from __future__ import annotations
@@ -79,8 +79,8 @@ class Dispatcher(threading.Thread):
         ledger_path: the server's run ledger file (every job appends to
             this one store, under the cross-process file lock).
         workers: engine worker processes per job (1 = in-process).
-        policy: failure policy every job runs under (must not be plain
-            fail-fast — see the module docstring).
+        policy: failure policy every job runs under (default
+            continue-and-report).
         task_timeout: optional per-cell wall-clock deadline (seconds).
         admission: the server's admission controller; completed job
             results are charged against its budget here.
@@ -115,12 +115,6 @@ class Dispatcher(threading.Thread):
             if policy is not None
             else FailurePolicy.continue_and_report()
         )
-        if self.policy.mode == "fail_fast":
-            raise ValueError(
-                "serve dispatcher needs a continue/retry policy (fail-fast "
-                "would select the non-daemon worker pool, which an abrupt "
-                "server exit could orphan)"
-            )
         self.task_timeout = task_timeout
         self.admission = admission
         self.metrics = metrics

@@ -29,7 +29,8 @@ from repro.consensus.interface import ConsensusRun
 from repro.consensus.validation import validate_run
 from repro.faults.plan import FaultPlan
 from repro.faults.watchdog import Watchdog
-from repro.parallel import ParallelExecutionError, run_tasks_partial
+from repro.parallel import ParallelExecutionError
+from repro.resilience.checkpoint import run_checkpointed
 from repro.runtime.adversary import LockstepAdversary, SplitAdversary
 from repro.runtime.rng import derive_rng
 from repro.runtime.scheduler import (
@@ -41,7 +42,7 @@ from repro.runtime.scheduler import (
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.obs.ledger import RunLedger
-    from repro.resilience.policy import FailurePolicy, PartialResult
+    from repro.resilience.policy import FailurePolicy
 
 #: Default livelock window (in simulation steps) for the per-run watchdog.
 #: Healthy consensus runs move their progress counters (coin flips, round
@@ -330,99 +331,6 @@ def _run_cell(
     return cell
 
 
-def _dispatch(run_cell, specs, *, batch_size, **engine_kwargs):
-    """Route cells through the batched dispatcher when a batch size is
-    set, the plain engine otherwise.  Fuzz cells have no fused-lane hooks
-    (their fault plans and watchdogs need the full serial interpreter),
-    so batching groups ``batch_size`` cells per pool task — same results,
-    amortised fork/IPC."""
-    if batch_size is not None:
-        from repro.batch import run_tasks_batched
-
-        return run_tasks_batched(
-            run_cell, specs, batch_size=batch_size, **engine_kwargs
-        )
-    return run_tasks_partial(run_cell, specs, **engine_kwargs)
-
-
-def _run_cells_recorded(
-    run_cell: Callable[[tuple[int, str]], _CellOutcome],
-    specs: list[tuple[int, str]],
-    ledger: "RunLedger",
-    experiment: str,
-    cell_config: dict[str, Any],
-    master_seed: int,
-    workers: int | None,
-    progress: Callable[[int, int], None] | None,
-    policy: "FailurePolicy | None" = None,
-    task_timeout: float | None = None,
-    metrics: Any = None,
-    batch_size: int | None = None,
-) -> tuple[list[_CellOutcome], int, "PartialResult"]:
-    """Run grid cells through the ledger: cached cells are served from
-    their records, fresh cells run (possibly parallel) and are appended
-    *incrementally* in grid order as they complete — so an interrupted
-    campaign leaves a valid submission-order ledger prefix behind and a
-    re-run recomputes only the missing cells (``--resume``).  The ledger
-    bytes stay identical at any worker count and across any number of
-    interrupt/resume cycles of the same campaign.
-
-    Returns ``(cells, cache_hits, partial)``; raises
-    :class:`ParallelExecutionError` on terminal task failures unless the
-    policy is continue-and-report (then the holes are in ``partial``).
-    """
-    from repro.obs.ledger import compute_fingerprint, make_record
-    from repro.resilience.checkpoint import LedgerCheckpointer
-
-    configs = [
-        {"experiment": experiment, "n": n, "scheduler": name, **cell_config}
-        for n, name in specs
-    ]
-    fingerprints = [compute_fingerprint(master_seed, c) for c in configs]
-    cells: list[_CellOutcome | None] = [None] * len(specs)
-    pending: list[int] = []
-    checkpointer = LedgerCheckpointer(ledger)
-    cache_hits = 0
-    for index, fingerprint in enumerate(fingerprints):
-        record = ledger.cached(fingerprint)
-        if record is not None and record.kind == "fuzz":
-            cells[index] = _CellOutcome.from_payload(record.outcome)
-            checkpointer.skip(index)
-            cache_hits += 1
-        else:
-            pending.append(index)
-
-    def checkpoint(position: int, cell: _CellOutcome) -> None:
-        index = pending[position]
-        cells[index] = cell
-        checkpointer.offer(
-            index,
-            make_record(
-                kind="fuzz",
-                experiment=experiment,
-                seed=master_seed,
-                config=configs[index],
-                outcome=cell.to_payload(),
-            ),
-        )
-
-    partial = _dispatch(
-        run_cell,
-        [specs[index] for index in pending],
-        batch_size=batch_size,
-        workers=workers,
-        progress=progress,
-        policy=policy,
-        task_timeout=task_timeout,
-        metrics=metrics,
-        on_result=checkpoint,
-    )
-    checkpointer.close()
-    if partial.errors and (policy is None or policy.mode != "continue"):
-        raise ParallelExecutionError(partial.errors)
-    return [cell for cell in cells if cell is not None], cache_hits, partial
-
-
 def fuzz_consensus(
     protocol_factory: Callable[[], Any],
     n_values: Iterable[int] = (2, 3, 4),
@@ -542,10 +450,6 @@ def fuzz_consensus(
     if task_wrapper is not None:
         run_cell = task_wrapper(run_cell)
 
-    from repro.batch import resolve_batch_size
-
-    batch_size = resolve_batch_size(batch_size)
-    partial: "PartialResult | None" = None
     if stop_on_first_failure:
         cells = []
         for done, spec in enumerate(specs):
@@ -555,49 +459,48 @@ def fuzz_consensus(
                 progress(done + 1, len(specs))
             if cell.stopped:
                 break
-    elif ledger is not None:
-        cells, report.cache_hits, partial = _run_cells_recorded(
+    else:
+        cell_config = {
+            # One throwaway instance names the protocol; parameter-level
+            # identity beyond the name rides on the experiment label.
+            "protocol": getattr(protocol_factory(), "name", "consensus"),
+            "runs_per_cell": runs_per_cell,
+            "crash_probability": crash_probability,
+            "recovery_probability": recovery_probability,
+            "fault_probability": fault_probability,
+            "fault_max_steps": fault_max_steps,
+            "max_steps": max_steps,
+            "livelock_window": livelock_window,
+            "has_extra_check": extra_check is not None,
+            "has_fault_plan_factory": fault_plan_factory is not None,
+        }
+        configs = [
+            {"experiment": experiment, "n": n, "scheduler": name, **cell_config}
+            for n, name in specs
+        ]
+        values, partial, report.cache_hits = run_checkpointed(
             run_cell,
             specs,
             ledger,
-            experiment,
-            cell_config={
-                # One throwaway instance names the protocol; parameter-level
-                # identity beyond the name rides on the experiment label.
-                "protocol": getattr(protocol_factory(), "name", "consensus"),
-                "runs_per_cell": runs_per_cell,
-                "crash_probability": crash_probability,
-                "recovery_probability": recovery_probability,
-                "fault_probability": fault_probability,
-                "fault_max_steps": fault_max_steps,
-                "max_steps": max_steps,
-                "livelock_window": livelock_window,
-                "has_extra_check": extra_check is not None,
-                "has_fault_plan_factory": fault_plan_factory is not None,
-            },
-            master_seed=master_seed,
+            [(master_seed, config) for config in configs],
+            kind="fuzz",
+            experiment=experiment,
+            decode=lambda record: (
+                _CellOutcome.from_payload(record.outcome)
+                if record.kind == "fuzz"
+                else None
+            ),
+            encode=_CellOutcome.to_payload,
             workers=workers,
             progress=progress,
             policy=policy,
             task_timeout=task_timeout,
             metrics=metrics,
             batch_size=batch_size,
-        )
-    else:
-        partial = _dispatch(
-            run_cell,
-            specs,
-            batch_size=batch_size,
-            workers=workers,
-            progress=progress,
-            policy=policy,
-            task_timeout=task_timeout,
-            metrics=metrics,
         )
         if partial.errors and (policy is None or policy.mode != "continue"):
             raise ParallelExecutionError(partial.errors)
-        cells = [cell for cell in partial.results if cell is not None]
-    if partial is not None:
+        cells = [cell for cell in values if cell is not None]
         report.task_errors = [str(error) for error in partial.errors]
 
     for cell in cells:

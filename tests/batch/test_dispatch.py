@@ -1,10 +1,10 @@
-"""The batch dispatch layer: validation, grouping, and entry-point identity.
+"""Batch-size dispatch: validation, units, and entry-point identity.
 
 Batching is a pure execution-strategy knob — these tests pin that it is
 *observably absent* from every result: sweep ledger bytes, fuzz reports
-and repeat_runs values are byte/value-identical at any batch size, flat
-task indices survive the grouping, and the ``batch_size``/``REPRO_BATCH``
-knobs reject nonsense with messages that name the knob.
+and repeat_runs values are byte/value-identical at any batch size, task
+indices survive the unit boundaries, and the ``batch_size``/
+``REPRO_BATCH`` knobs reject nonsense with messages that name the knob.
 """
 
 import dataclasses
@@ -12,14 +12,10 @@ import dataclasses
 import pytest
 
 from repro.analysis.experiment import repeat_runs
-from repro.batch import (
-    BATCH_ENV,
-    make_batch_task,
-    resolve_batch_size,
-    run_tasks_batched,
-)
 from repro.consensus import AdsConsensus
 from repro.obs.ledger import RunLedger
+from repro.parallel import resolve_batch_size, run_tasks, run_tasks_partial
+from repro.parallel.engine import BATCH_ENV
 from repro.runtime import RandomScheduler
 from repro.verify.fuzz import fuzz_consensus
 from repro.workloads import build_sweep
@@ -91,13 +87,13 @@ def test_cli_batch_arg_rejects_non_positive(raw):
 
 
 # ---------------------------------------------------------------------------
-# Grouping mechanics
+# Unit mechanics
 # ---------------------------------------------------------------------------
 
 
 def test_flat_indices_and_order():
     seen = []
-    partial = run_tasks_batched(
+    partial = run_tasks_partial(
         lambda task: task * 10,
         list(range(7)),
         batch_size=3,
@@ -115,22 +111,19 @@ def test_group_error_reanchored_at_flat_index():
             raise RuntimeError("cell 5 exploded")
         return task
 
-    partial = run_tasks_batched(boom, list(range(8)), batch_size=3, workers=0)
+    partial = run_tasks_partial(boom, list(range(8)), batch_size=3, workers=0)
     assert len(partial.errors) == 1
-    # Task 5 lives in group 1 (tasks 3..5): the error anchors at the
-    # group's first flat index, and the whole group is a None hole.
-    assert partial.errors[0].index == 3
-    assert partial.results[3:6] == [None, None, None]
-    assert partial.results[:3] == [0, 1, 2]
-    assert partial.results[6:] == [6, 7]
+    # Task 5 lives in unit 1 (tasks 3..5) but fails alone: the error is
+    # at its own index and its unit-mates keep their results.
+    assert partial.errors[0].index == 5
+    assert partial.results == [0, 1, 2, 3, 4, None, 6, 7]
 
 
-def test_make_batch_task_without_hooks_is_plain_map():
-    run_batch = make_batch_task(lambda task: task + 1)
-    assert run_batch([1, 2, 3]) == [2, 3, 4]
+def test_unit_without_hooks_is_plain_map():
+    assert run_tasks(lambda task: task + 1, [1, 2, 3], batch_size=3) == [2, 3, 4]
 
 
-def test_make_batch_task_hook_refusal_falls_back():
+def test_unit_hook_refusal_falls_back():
     calls = []
 
     def run_task(task):
@@ -139,14 +132,16 @@ def test_make_batch_task_hook_refusal_falls_back():
 
     run_task.batch_lane = lambda task: None  # refuse every task
     run_task.batch_value = lambda task, lane: ("fused", task)
-    run_batch = make_batch_task(run_task)
-    assert run_batch([7, 8]) == [("serial", 7), ("serial", 8)]
+    assert run_tasks(run_task, [7, 8], batch_size=2) == [
+        ("serial", 7),
+        ("serial", 8),
+    ]
     assert calls == [7, 8]
 
 
 def test_progress_counts_flat_tasks():
     ticks = []
-    run_tasks_batched(
+    run_tasks_partial(
         lambda task: task,
         list(range(5)),
         batch_size=2,

@@ -9,6 +9,7 @@ from repro.parallel import (
     available_workers,
     resolve_workers,
     run_tasks,
+    run_tasks_partial,
 )
 from repro.parallel.engine import WORKERS_ENV, _describe_task, _fork_available
 
@@ -77,11 +78,11 @@ def test_parallel_results_in_submission_order():
 
 
 @needs_fork
-def test_parallel_matches_serial_for_any_chunksize():
+def test_parallel_matches_serial_for_any_batch_size():
     tasks = list(range(10))
     serial = run_tasks(_square, tasks, workers=1)
-    for chunksize in (1, 3, 10, 100):
-        assert run_tasks(_square, tasks, workers=2, chunksize=chunksize) == serial
+    for batch_size in (1, 3, 10, 100):
+        assert run_tasks(_square, tasks, workers=2, batch_size=batch_size) == serial
 
 
 @needs_fork
@@ -121,7 +122,7 @@ def test_parallel_progress_is_monotonic_and_complete():
         _square,
         list(range(12)),
         workers=2,
-        chunksize=3,
+        batch_size=3,
         progress=lambda d, t: calls.append((d, t)),
     )
     dones = [d for d, _ in calls]
@@ -148,7 +149,7 @@ def test_serial_task_error_is_structured():
 @needs_fork
 def test_parallel_task_error_survivors_unaffected():
     with pytest.raises(ParallelExecutionError) as info:
-        run_tasks(_fail_on_three, [1, 2, 3, 4, 5, 6], workers=2, chunksize=1)
+        run_tasks(_fail_on_three, [1, 2, 3, 4, 5, 6], workers=2, batch_size=1)
     errors = info.value.errors
     assert [e.index for e in errors] == [2]
     assert errors[0].exc_type == "ValueError"
@@ -172,13 +173,35 @@ def test_describe_task_truncates_huge_params():
 @needs_fork
 def test_worker_process_death_surfaces_and_does_not_hang():
     with pytest.raises(ParallelExecutionError) as info:
-        run_tasks(_exit_on_three, [1, 2, 3, 4, 5, 6], workers=2, chunksize=1)
+        run_tasks(_exit_on_three, [1, 2, 3, 4, 5, 6], workers=2, batch_size=1)
     errors = info.value.errors
     assert errors, "a dead worker must produce structured errors"
-    # The chunk the dying worker held is attributed pid -1 (no report came
-    # back); the message still names the failure class.
-    assert any(e.worker_pid == -1 for e in errors)
-    assert any(e.index == 2 for e in errors)
+    # Only the unit the dying worker held is lost: it is charged
+    # WorkerDied under that worker's real pid.
+    assert [e.index for e in errors] == [2]
+    assert errors[0].exc_type == "WorkerDied"
+    assert errors[0].worker_pid > 0
+
+
+@needs_fork
+def test_workers_persist_across_units():
+    pids = run_tasks(
+        lambda task: os.getpid(), list(range(40)), workers=2, batch_size=2
+    )
+    assert len(set(pids)) <= 2
+    assert os.getpid() not in pids
+
+
+@needs_fork
+def test_worker_death_charges_its_whole_unit_only():
+    partial = run_tasks_partial(
+        _exit_on_three, list(range(9)), workers=2, batch_size=3
+    )
+    # Task 3 kills the worker holding unit [3, 4, 5]: all three tasks are
+    # charged WorkerDied, and every other unit keeps its results.
+    assert [e.index for e in partial.errors] == [3, 4, 5]
+    assert {e.exc_type for e in partial.errors} == {"WorkerDied"}
+    assert partial.results == [0, 1, 2, None, None, None, 6, 7, 8]
 
 
 def test_error_message_lists_failures():
@@ -209,7 +232,7 @@ def test_parallel_run_records_chunks_and_workers():
     from repro import MetricsRegistry
 
     registry = MetricsRegistry()
-    run_tasks(_square, list(range(8)), workers=2, chunksize=2, metrics=registry)
+    run_tasks(_square, list(range(8)), workers=2, batch_size=2, metrics=registry)
     snapshot = registry.snapshot()
     assert snapshot.counters["parallel.tasks"] == 8
     assert snapshot.counters["parallel.chunks"] == 4

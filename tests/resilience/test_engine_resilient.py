@@ -5,6 +5,8 @@ docstring: retried tasks re-run from their original seed, so a campaign
 that completes merges bit-identically to an undisturbed run.
 """
 
+import os
+import signal
 import time
 
 import pytest
@@ -12,6 +14,7 @@ import pytest
 from repro.obs.metrics import MetricsRegistry
 from repro.parallel import (
     ParallelExecutionError,
+    available_workers,
     run_tasks,
     run_tasks_partial,
 )
@@ -176,6 +179,91 @@ def test_retry_timeouts_false_fails_immediately():
     )
     assert partial.retries == 0
     assert partial.timeouts == 2
+
+
+# -- a single task at workers >= 2 still runs supervised ----------------------
+
+
+def _hang(task):
+    """A bounded :func:`_sleep_forever`: a regression fails, not stalls."""
+    time.sleep(60)
+    return task
+
+
+@needs_fork
+def test_single_task_deadline_is_enforced():
+    started = time.monotonic()
+    partial = run_tasks_partial(
+        _hang,
+        [1],
+        workers=2,
+        task_timeout=0.2,
+        policy=FailurePolicy.continue_and_report(),
+    )
+    assert time.monotonic() - started < 10
+    assert partial.timeouts == 1
+    assert [e.exc_type for e in partial.errors] == ["TaskTimeout"]
+
+
+@needs_fork
+def test_single_task_worker_crash_is_retried_not_fatal(tmp_path):
+    # Run in-process, this crash would SIGKILL the caller.
+    crashing = CrashOnce(_square, tmp_path / "crashed")
+    partial = run_tasks_partial(crashing, [7], workers=2, policy=FAST_RETRY)
+    assert (tmp_path / "crashed").exists()
+    assert partial.results == [49]
+    assert partial.retries == 1
+
+
+# -- persistent workers under mixed failures ----------------------------------
+
+
+class _FailOnce:
+    """Squares its task, but fails each planned task once: by raising, by
+    SIGKILLing its worker, or by hanging past the deadline.  "Once" is
+    kept on disk, so it holds across worker processes."""
+
+    def __init__(self, directory, plan):
+        self.directory = directory
+        self.plan = plan
+
+    def __call__(self, task):
+        kind = self.plan.get(task)
+        if kind is not None:
+            try:
+                os.close(os.open(self.directory / str(task), os.O_CREAT | os.O_EXCL))
+            except FileExistsError:
+                kind = None
+        if kind == "raise":
+            raise RuntimeError(f"transient failure of {task}")
+        if kind == "kill":
+            os.kill(os.getpid(), signal.SIGKILL)
+        if kind == "hang":
+            time.sleep(60)
+        return task * task
+
+
+@needs_fork
+@pytest.mark.parametrize("batch_size", [None, 3])
+def test_pool_recovers_mixed_failures_with_more_workers_than_cores(
+    tmp_path, batch_size
+):
+    task = _FailOnce(tmp_path, {4: "raise", 10: "kill", 20: "hang", 31: "kill"})
+    started = time.monotonic()
+    partial = run_tasks_partial(
+        task,
+        list(range(40)),
+        workers=2 * available_workers() + 1,
+        batch_size=batch_size,
+        policy=FAST_RETRY,
+        task_timeout=1.0,
+    )
+    assert time.monotonic() - started < 30
+    assert partial.ok
+    assert partial.results == [t * t for t in range(40)]
+    # Each failure sits in its own unit, and each unit is retried once.
+    assert partial.retries == 4
+    assert partial.timeouts == 1
 
 
 # -- admission control through the engine -------------------------------------

@@ -18,9 +18,11 @@ import pytest
 from repro.consensus import AdsConsensus
 from repro.faults.campaign import run_mutation_campaign
 from repro.obs.ledger import RunLedger
+from repro.obs.metrics import MetricsRegistry
 from repro.parallel.engine import _fork_available
 from repro.resilience import CrashOnce, FailurePolicy, RetryBackoff
 from repro.verify.fuzz import fuzz_consensus
+from repro.workloads import build_sweep
 
 needs_fork = pytest.mark.skipif(
     not _fork_available(), reason="fork start method unavailable"
@@ -89,6 +91,33 @@ def test_sigkilled_campaign_worker_retries_to_identical_json(tmp_path):
     )
     assert marker.exists()
     assert disturbed.to_json() == baseline.to_json()
+
+
+@needs_fork
+def test_sigkilled_batched_sweep_unit_retries_to_serial_ledger(tmp_path):
+    serial_path = tmp_path / "serial.jsonl"
+    build_sweep(n_values=(2, 3), reps=4, ledger=RunLedger(serial_path)).execute(
+        workers=1
+    )
+    crashed_path = tmp_path / "crashed.jsonl"
+    metrics = MetricsRegistry()
+    sweep = build_sweep(
+        n_values=(2, 3),
+        reps=4,
+        ledger=RunLedger(crashed_path),
+        policy=FAST_RETRY,
+        metrics=metrics,
+        batch_size=4,
+    )
+    # A plain wrapper carries no fused-lane hooks, so every cell runs
+    # through it and the first one SIGKILLs its worker mid-unit.
+    cell = sweep.run_once
+    crashing = CrashOnce(lambda task: cell(*task), tmp_path / "crash-marker")
+    sweep.run_once = lambda n, seed: crashing((n, seed))
+    sweep.execute(workers=2)
+    assert (tmp_path / "crash-marker").exists()
+    assert metrics.snapshot().counter_total("resilience.retries") == 1
+    assert crashed_path.read_bytes() == serial_path.read_bytes()
 
 
 # -- interrupt / resume -------------------------------------------------------
