@@ -690,6 +690,7 @@ def cmd_sweep(args) -> int:
     grid out across cores and the table is identical for any worker count.
     """
     from repro.analysis.experiment import sweep_table
+    from repro.parallel import resolve_workers
     from repro.workloads import build_sweep
 
     n_values = _parse_inputs(args.n_values)
@@ -726,7 +727,7 @@ def cmd_sweep(args) -> int:
             title=(
                 f"{args.protocol} — {metric} vs n "
                 f"({args.reps} reps, {args.scheduler} scheduler, "
-                f"workers={args.workers})"
+                f"workers={resolve_workers(args.workers)})"
             ),
         )
     )

@@ -152,11 +152,7 @@ class AdsConsensus(ConsensusProtocol):
 
         def factory(pid: int):
             def body(ctx: ProcessContext):
-                return (
-                    yield from self._process(
-                        ctx, memory, inputs[pid], n, m, initial
-                    )
-                )
+                return self._process(ctx, memory, inputs[pid], n, m, initial)
 
             return body
 

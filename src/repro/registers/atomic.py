@@ -71,10 +71,6 @@ class AtomicRegister:
         # Max-value-held gauges subsume the E6 memory audit for audited
         # registers; the audit's measurement is reused, never recomputed.
         self._magnitude = sim.metrics.gauge("memory.max_magnitude", register=name)
-        # Read intents carry no payload, so one immutable intent per reader
-        # pid serves every read of this register (reads dominate the step
-        # mix — a scan is n reads per round — making this the single
-        # biggest allocation site the cache removes).
         self._read_intents: dict[int, OpIntent] = {}
         if audit is not None:
             self._magnitude.set_max(audit.observe(name, initial))
@@ -89,8 +85,38 @@ class AtomicRegister:
         self._prev_value = self._value
         self._value = value
 
-    def read(self, ctx: ProcessContext) -> Generator[OpIntent, None, Any]:
-        """Atomic read (one scheduling point).
+    # -- one atomic access, split into its intent and its effect -------------
+    #
+    # A shared object that performs a single-step access inline yields
+    # ``read_intent(pid)`` (or a write intent it built once, after
+    # ``check_writer``) and then calls ``load`` / ``store``; ``read`` and
+    # ``write`` below are the same two halves as one generator.  A process
+    # step changes or observes the register only in the effect halves, so
+    # both forms inject the same faults, count the same accesses and record
+    # the same events.
+
+    def read_intent(self, pid: int) -> OpIntent:
+        """The intent of a read by ``pid``.
+
+        Read intents carry no payload, so one immutable intent per reader
+        pid serves every read of this register (reads dominate the step
+        mix — a scan is n reads per round).
+        """
+        intent = self._read_intents.get(pid)
+        if intent is None:
+            intent = self._read_intents[pid] = OpIntent(pid, "read", self.name)
+        return intent
+
+    def check_writer(self, pid: int) -> None:
+        """Raise :class:`PermissionError` unless ``pid`` may write here."""
+        if self.writers is not None and pid not in self.writers:
+            raise PermissionError(
+                f"process {pid} may not write register {self.name} "
+                f"(writers: {sorted(self.writers)})"
+            )
+
+    def load(self, ctx: ProcessContext) -> Any:
+        """The effect of a read, at the step its intent was granted.
 
         With a fault injector installed on the simulation, the *returned*
         value may be stale (the previous write's value) — the register's
@@ -98,12 +124,6 @@ class AtomicRegister:
         the process really saw, so trace checkers judge the faulty
         behaviour, not the intent.
         """
-        intent = self._read_intents.get(ctx.pid)
-        if intent is None:
-            intent = self._read_intents[ctx.pid] = OpIntent(
-                ctx.pid, "read", self.name
-            )
-        yield intent
         value = self._value
         injector = self.sim.faults
         if injector is not None:
@@ -115,8 +135,8 @@ class AtomicRegister:
             ctx.record("read", self.name, value)
         return value
 
-    def write(self, ctx: ProcessContext, value: Any) -> Generator[OpIntent, None, None]:
-        """Atomic write (one scheduling point).
+    def store(self, ctx: ProcessContext, value: Any) -> None:
+        """The effect of a write, at the step its intent was granted.
 
         The fault injector may drop the write (the cell keeps its old
         value) or corrupt the stored value.  Either way the writer believes
@@ -124,12 +144,6 @@ class AtomicRegister:
         and the max-value gauges observe what actually landed (a corrupted
         value that blows the E6 bound is meant to be visible there).
         """
-        if self.writers is not None and ctx.pid not in self.writers:
-            raise PermissionError(
-                f"process {ctx.pid} may not write register {self.name} "
-                f"(writers: {sorted(self.writers)})"
-            )
-        yield OpIntent(ctx.pid, "write", self.name, value)
         stored = value
         lost = False
         injector = self.sim.faults
@@ -145,6 +159,17 @@ class AtomicRegister:
                 self._magnitude.set_max(self.audit.observe(self.name, stored))
         if ctx.recording:
             ctx.record("write", self.name, value)
+
+    def read(self, ctx: ProcessContext) -> Generator[OpIntent, None, Any]:
+        """Atomic read (one scheduling point); see :meth:`load`."""
+        yield self.read_intent(ctx.pid)
+        return self.load(ctx)
+
+    def write(self, ctx: ProcessContext, value: Any) -> Generator[OpIntent, None, None]:
+        """Atomic write (one scheduling point); see :meth:`store`."""
+        self.check_writer(ctx.pid)
+        yield OpIntent(ctx.pid, "write", self.name, value)
+        self.store(ctx, value)
 
 
 class RegisterArray:

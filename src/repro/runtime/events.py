@@ -25,9 +25,10 @@ from typing import Any
 class OpIntent:
     """The next atomic operation a process will perform when scheduled.
 
-    One intent is allocated per atomic step (a register's ``read``/``write``
-    generator yields it before taking effect), so the class is slotted: the
-    step loop is the hottest allocation site in the simulator.
+    Every atomic step yields one before its register access takes effect.
+    Intents with a fixed payload (reads, the arrow snapshot's arrow writes)
+    are built once and reused; the rest are allocated per step, so the
+    class is slotted.
 
     Attributes:
         pid: the process about to act.

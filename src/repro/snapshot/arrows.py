@@ -123,23 +123,44 @@ class ArrowScannableMemory(ScannableMemory):
                     )
                 else:
                     raise ValueError(f"unknown arrow_kind: {arrow_kind!r}")
-        # Per-pid register views, precomputed once: the scan loop touches
-        # every one of these per round, and indexing ``self.A[i][j]`` /
-        # ``self.V[i]`` per access was a measurable share of scan cost.
+        # Per-pid step tables, built once: every access a scan or write
+        # makes, as ``(register, intent)`` pairs.  An atomic register's
+        # access is one step, so the loops yield its prebuilt intent and
+        # call ``load``/``store``; a bloom arrow takes several steps per
+        # access, so its entry carries ``None`` and the loops delegate to
+        # its ``read``/``write`` generator.
         self._v_regs = self.V.registers
-        self._others = [[j for j in range(n) if j != i] for i in range(n)]
-        # Row i: the arrows scanner i re-arms and reads (A[i][j], j != i).
-        self._scan_arrows = [
-            [self.A[i][j] for j in self._others[i]] for i in range(n)
+        others = [[j for j in range(n) if j != i] for i in range(n)]
+        # Row i: the arrows scanner i re-arms (value 0) and reads.
+        self._arm = [
+            [self._write_entry(self.A[i][j], i, 0) for j in others[i]] for i in range(n)
         ]
-        # Column i: the arrows writer i raises (A[j][i], j != i).
-        self._write_arrows = [
-            [self.A[j][i] for j in self._others[i]] for i in range(n)
+        self._arrow_reads = [
+            [self._read_entry(self.A[i][j], i) for j in others[i]] for i in range(n)
         ]
-        self._other_vregs = [
-            [self._v_regs[j] for j in self._others[i]] for i in range(n)
+        # Column i: the arrows writer i raises (value 1), A[j][i].
+        self._raise = [
+            [self._write_entry(self.A[j][i], i, 1) for j in others[i]] for i in range(n)
+        ]
+        # The V registers scanner i collects, twice per round.
+        self._collect = [
+            [(self._v_regs[j], self._v_regs[j].read_intent(i)) for j in others[i]]
+            for i in range(n)
         ]
         sim.register_shared(name, self)
+
+    @staticmethod
+    def _write_entry(reg, pid: int, value: Any) -> tuple[Any, OpIntent | None]:
+        if not isinstance(reg, AtomicRegister):
+            return reg, None
+        reg.check_writer(pid)
+        return reg, OpIntent(pid, "write", reg.name, value)
+
+    @staticmethod
+    def _read_entry(reg, pid: int) -> tuple[Any, OpIntent | None]:
+        if not isinstance(reg, AtomicRegister):
+            return reg, None
+        return reg, reg.read_intent(pid)
 
     # -- operations ----------------------------------------------------------
 
@@ -149,8 +170,12 @@ class ArrowScannableMemory(ScannableMemory):
         span = ctx.begin_span("write", self.name, value)
         self._writes.inc()
         arrow_toggles = self._arrow_toggles
-        for reg in self._write_arrows[i]:
-            yield from reg.write(ctx, 1)
+        for reg, intent in self._raise[i]:
+            if intent is None:
+                yield from reg.write(ctx, 1)
+            else:
+                yield intent
+                reg.store(ctx, 1)
             arrow_toggles.inc()
         self._toggle[i] ^= 1
         self._wseq[i] += 1
@@ -162,7 +187,9 @@ class ArrowScannableMemory(ScannableMemory):
             self._value_magnitude.set_max(
                 self.audit.observe(f"{self.name}.V[{i}]", (value, self._toggle[i]))
             )
-        yield from self._v_regs[i].write(ctx, cell)
+        vreg = self._v_regs[i]
+        yield OpIntent(i, "write", vreg.name, cell)
+        vreg.store(ctx, cell)
         self._last_written[i] = value
         ctx.end_span(span)
 
@@ -171,8 +198,9 @@ class ArrowScannableMemory(ScannableMemory):
         i = ctx.pid
         span = ctx.begin_span("scan", self.name)
         self._scans.inc()
-        scan_arrows = self._scan_arrows[i]
-        other_vregs = self._other_vregs[i]
+        arm = self._arm[i]
+        collect = self._collect[i]
+        arrow_reads = self._arrow_reads[i]
         arrow_toggles = self._arrow_toggles
         max_rounds = self.max_rounds
         # Collect buffers live for one scan call and are cleared between
@@ -191,18 +219,28 @@ class ArrowScannableMemory(ScannableMemory):
                 raise ScanRetriesExceeded(
                     f"scan by {i} on {self.name} exceeded {max_rounds} rounds"
                 )
-            for reg in scan_arrows:
-                yield from reg.write(ctx, 0)
+            for reg, intent in arm:
+                if intent is None:
+                    yield from reg.write(ctx, 0)
+                else:
+                    yield intent
+                    reg.store(ctx, 0)
                 arrow_toggles.inc()
             first.clear()
-            for reg in other_vregs:
-                first.append((yield from reg.read(ctx)))
+            for reg, intent in collect:
+                yield intent
+                first.append(reg.load(ctx))
             second.clear()
-            for reg in other_vregs:
-                second.append((yield from reg.read(ctx)))
+            for reg, intent in collect:
+                yield intent
+                second.append(reg.load(ctx))
             arrows.clear()
-            for reg in scan_arrows:
-                arrows.append((yield from reg.read(ctx)))
+            for reg, intent in arrow_reads:
+                if intent is None:
+                    arrows.append((yield from reg.read(ctx)))
+                else:
+                    yield intent
+                    arrows.append(reg.load(ctx))
             clean = True
             for k in range(len(second)):
                 f = first[k]

@@ -120,12 +120,17 @@ class DistanceGraph:
         return dist
 
     def leaders(self) -> list[int]:
-        """Processes that dominate everyone: ``(i, j) ∈ G`` for all j."""
-        return [
-            i
-            for i in range(self.n)
-            if all(self.has_edge(i, j) for j in range(self.n) if j != i)
-        ]
+        """Processes that dominate everyone: ``(i, j) ∈ G`` for all j.
+
+        Ascending pids.  Edges join distinct tokens and ``weights`` holds
+        each ordered pair once, so i dominates everyone exactly when it has
+        n-1 out-edges.
+        """
+        out_degree = [0] * self.n
+        for i, _ in self.weights:
+            out_degree[i] += 1
+        others = self.n - 1
+        return [i for i in range(self.n) if out_degree[i] == others]
 
     def edge_on_max_path_to(
         self, j: int, i: int, dists_to_i: list[float] | None = None

@@ -1,11 +1,17 @@
 """Tests for the paper's arrow-based scannable memory (§2.2)."""
 
+import json
+
 import pytest
 
+from repro.consensus import AdsConsensus
+from repro.consensus import ads as ads_module
+from repro.faults import FaultPlan
 from repro.registers import MemoryAudit
-from repro.runtime import RandomScheduler, RoundRobinScheduler, Simulation
+from repro.runtime import RandomScheduler, RoundRobinScheduler, Scheduler, Simulation
+from repro.runtime.adversary import LockstepAdversary
 from repro.snapshot import ArrowScannableMemory
-from repro.snapshot.arrows import ScanRetriesExceeded
+from repro.snapshot.arrows import _TOGGLE, _VALUE, _WSEQ, ScanRetriesExceeded
 
 
 def _scan_write_factory(mem, writes=3):
@@ -182,3 +188,173 @@ def test_scan_attempts_counter_accumulates():
     sim.run(500_000)
     scans = [s for s in sim.trace.spans if s.kind == "scan"]
     assert mem.scan_attempts() == sum(s.meta["rounds"] for s in scans)
+
+
+# -- inline register accesses against the delegated reference ----------------
+
+
+class DelegatedArrowMemory(ArrowScannableMemory):
+    """Reference: the scan and write bodies from before the inline step
+    tables, with every register access delegated through the register's
+    ``read``/``write`` generator."""
+
+    def write(self, ctx, value):
+        i = ctx.pid
+        span = ctx.begin_span("write", self.name, value)
+        self._writes.inc()
+        arrow_toggles = self._arrow_toggles
+        for reg in [self.A[j][i] for j in range(self.n) if j != i]:
+            yield from reg.write(ctx, 1)
+            arrow_toggles.inc()
+        self._toggle[i] ^= 1
+        self._wseq[i] += 1
+        span.meta["wseq"] = self._wseq[i]
+        cell = (value, self._toggle[i], self._wseq[i] if self.ghost else 0)
+        if self.audit is not None:
+            self._value_magnitude.set_max(
+                self.audit.observe(f"{self.name}.V[{i}]", (value, self._toggle[i]))
+            )
+        yield from self._v_regs[i].write(ctx, cell)
+        self._last_written[i] = value
+        ctx.end_span(span)
+
+    def scan(self, ctx):
+        i = ctx.pid
+        span = ctx.begin_span("scan", self.name)
+        self._scans.inc()
+        others = [j for j in range(self.n) if j != i]
+        scan_arrows = [self.A[i][j] for j in others]
+        other_vregs = [self._v_regs[j] for j in others]
+        arrow_toggles = self._arrow_toggles
+        max_rounds = self.max_rounds
+        first: list = []
+        second: list = []
+        arrows: list = []
+        rounds = 0
+        while True:
+            rounds += 1
+            self._attempts += 1
+            if rounds > 1:
+                self._retries.inc()
+            if max_rounds is not None and rounds > max_rounds:
+                raise ScanRetriesExceeded(
+                    f"scan by {i} on {self.name} exceeded {max_rounds} rounds"
+                )
+            for reg in scan_arrows:
+                yield from reg.write(ctx, 0)
+                arrow_toggles.inc()
+            first.clear()
+            for reg in other_vregs:
+                first.append((yield from reg.read(ctx)))
+            second.clear()
+            for reg in other_vregs:
+                second.append((yield from reg.read(ctx)))
+            arrows.clear()
+            for reg in scan_arrows:
+                arrows.append((yield from reg.read(ctx)))
+            clean = True
+            for k in range(len(second)):
+                f = first[k]
+                s = second[k]
+                if arrows[k] != 0 or f[_VALUE] != s[_VALUE] or f[_TOGGLE] != s[_TOGGLE]:
+                    clean = False
+                    break
+            if clean:
+                break
+        self._scan_rounds.observe(rounds)
+        view = []
+        k = 0
+        for j in range(self.n):
+            if j == i:
+                view.append(self._last_written[i])
+            else:
+                view.append(second[k][_VALUE])
+                k += 1
+        if ctx.recording:
+            wseqs = []
+            k = 0
+            for j in range(self.n):
+                if j == i:
+                    wseqs.append(self._wseq[i] if self.ghost else 0)
+                else:
+                    wseqs.append(second[k][_WSEQ])
+                    k += 1
+            span.meta["wseqs"] = tuple(wseqs)
+            span.meta["rounds"] = rounds
+            ctx.end_span(span, tuple(view))
+        return view
+
+
+class GrantSpy(Scheduler):
+    """Wraps a scheduler; records every granted pid with its pending intent."""
+
+    def __init__(self, inner):
+        self.inner = inner
+        self.grants = []
+
+    def reset(self):
+        self.inner.reset()
+
+    def choose(self, sim, runnable):
+        pid = self.inner.choose(sim, runnable)
+        self.grants.append((pid, sim.processes[pid].pending))
+        return pid
+
+
+def _observe(monkeypatch, memory_class, n, seed, scheduler, **run_kwargs):
+    monkeypatch.setattr(ads_module, "ArrowScannableMemory", memory_class)
+    spy = GrantSpy(scheduler)
+    run = AdsConsensus().run(
+        [(seed + pid) % 2 for pid in range(n)],
+        scheduler=spy,
+        seed=seed,
+        record_events=True,
+        record_spans=True,
+        keep_simulation=True,
+        **run_kwargs,
+    )
+    assert isinstance(run.simulation.shared["mem"], memory_class)
+    outcome = run.outcome
+    return {
+        "grants": spy.grants,
+        "events": run.simulation.trace.events,
+        "spans": run.simulation.trace.spans,
+        "metrics": outcome.metrics.to_json(),
+        "decisions": outcome.decisions,
+        "steps": (outcome.total_steps, outcome.steps_by_pid),
+        "stats": run.stats,
+    }
+
+
+def _assert_same_op_stream(monkeypatch, n, seed, make_scheduler, **run_kwargs):
+    inline = _observe(
+        monkeypatch, ArrowScannableMemory, n, seed, make_scheduler(), **run_kwargs
+    )
+    delegated = _observe(
+        monkeypatch, DelegatedArrowMemory, n, seed, make_scheduler(), **run_kwargs
+    )
+    assert inline["grants"] and inline["events"]
+    for key in inline:
+        assert inline[key] == delegated[key], (key, n, seed)
+    return json.loads(inline["metrics"])["counters"]
+
+
+@pytest.mark.parametrize("n", [2, 3, 5])
+@pytest.mark.parametrize("seed", range(5))
+def test_inline_accesses_match_delegated_reference(monkeypatch, n, seed):
+    _assert_same_op_stream(monkeypatch, n, seed, lambda: RandomScheduler(seed))
+
+
+def test_inline_accesses_match_delegated_reference_under_faults(monkeypatch):
+    plan = FaultPlan(seed=3, stale_read_rate=0.02, lost_write_rate=0.02)
+    counters = _assert_same_op_stream(
+        monkeypatch, 3, 1, lambda: RandomScheduler(1), fault_plan=plan
+    )
+    assert counters["faults.injected{kind=stale_read}"] > 0
+    assert counters["faults.injected{kind=lost_write}"] > 0
+
+
+def test_inline_accesses_match_delegated_reference_under_lockstep(monkeypatch):
+    _assert_same_op_stream(
+        monkeypatch, 3, 2, lambda: LockstepAdversary(memory_name="mem", seed=2)
+    )

@@ -295,6 +295,16 @@ def test_sweep_command_identical_across_worker_counts(capsys):
     assert table("1") == table("2")
 
 
+def test_sweep_title_reports_resolved_worker_count(monkeypatch, capsys):
+    argv = ["sweep", "--n-values", "2", "--reps", "2"]
+    monkeypatch.setenv("REPRO_WORKERS", "2")
+    assert main(argv) == 0
+    assert "workers=2)" in capsys.readouterr().out
+    monkeypatch.delenv("REPRO_WORKERS")
+    assert main(argv) == 0
+    assert "workers=1)" in capsys.readouterr().out
+
+
 def test_chaos_command_accepts_workers(tmp_path, capsys):
     report = tmp_path / "chaos.json"
     code = main(
