@@ -112,6 +112,23 @@ def repeat_runs(
     )
 
 
+class _CellTask:
+    """``run_once(value, seed)`` as a task function over ``(value, seed)``
+    tuples.  It pickles whenever ``run_once`` does (serve jobs send it to
+    a spawned worker pool), and re-exposes ``run_once``'s fused-lane hooks
+    so the engine can see them."""
+
+    def __init__(self, run_once: Callable[[Any, int], float]):
+        self.run_once = run_once
+        for hook in ("batch_lane", "batch_value"):
+            bound = getattr(run_once, hook, None)
+            if bound is not None:
+                setattr(self, hook, bound)
+
+    def __call__(self, task: tuple[Any, int]) -> float:
+        return self.run_once(task[0], task[1])
+
+
 @dataclass
 class SweepPoint:
     """One parameter setting with its replicated measurements."""
@@ -187,16 +204,9 @@ class Sweep:
             for value in self.values
             for rep in range(self.repetitions)
         ]
-        run_task = lambda task: self.run_once(task[0], task[1])  # noqa: E731
-        # The fused-lane hooks live on run_once; re-expose them on the
-        # task-shaped wrapper so the engine can see them.
-        for hook in ("batch_lane", "batch_value"):
-            bound = getattr(self.run_once, hook, None)
-            if bound is not None:
-                setattr(run_task, hook, bound)
         base = {"experiment": self.experiment, **dict(self.config or {})}
         samples = _collect_samples(
-            run_task,
+            _CellTask(self.run_once),
             tasks,
             [(seed, {**base, self.parameter: value}) for value, seed in tasks],
             self.ledger,

@@ -1141,8 +1141,8 @@ def cmd_serve(args) -> int:
     server = build_server(config)
 
     def terminate(signum, frame):  # noqa: ARG001 - signal API
-        # Immediate exit is safe by design: engine workers are daemon
-        # processes (reaped with us), appends are whole locked lines, and
+        # Immediate exit is safe by design: engine workers read EOF on
+        # their pipes and exit, appends are whole locked lines, and
         # the next boot heals at most one torn trailing line — so the
         # checkpointed ledger prefix is the durable state and the
         # restarted server recomputes only missing fingerprints.
@@ -1154,7 +1154,7 @@ def cmd_serve(args) -> int:
     print(f"repro serve: listening on {server.url}", flush=True)
     print(
         f"repro serve: ledger {config.resolved_ledger()}  "
-        f"jobs-log {config.resolved_jobs()}  workers {config.workers}",
+        f"jobs-log {config.resolved_jobs()}  workers {server.dispatcher.workers}",
         flush=True,
     )
     print(
@@ -1548,7 +1548,8 @@ def build_parser() -> argparse.ArgumentParser:
         type=_workers_arg,
         default=None,
         metavar="N",
-        help="engine worker processes per job (default 1; 0 = all CPUs)",
+        help="engine worker processes, shared by all jobs (default 1; "
+        "0 = all CPUs)",
     )
     serve.add_argument(
         "--state-dir",

@@ -31,9 +31,10 @@ The campaign is fully deterministic for a given seed, so it runs in CI
 from __future__ import annotations
 
 import dataclasses
+import functools
 import json
 from dataclasses import dataclass, field
-from typing import Any
+from typing import Any, Callable
 
 from repro.consensus.ads import AdsConsensus
 from repro.consensus.validation import validate_run
@@ -355,9 +356,10 @@ def run_mutation_campaign(
         specs.extend([("register", kind), ("snapshot", kind), ("consensus", kind)])
     report = CampaignReport(seed=seed)
 
-    def run_spec(spec: tuple[str, str | None]) -> CampaignCell:
-        return _campaign_cell(spec, seed, consensus_max_steps)
-
+    # A partial, not a closure: serve jobs send it to a spawned worker pool.
+    run_spec: Callable[[tuple[str, str | None]], CampaignCell] = functools.partial(
+        _campaign_cell, seed=seed, consensus_max_steps=consensus_max_steps
+    )
     if task_wrapper is not None:
         run_spec = task_wrapper(run_spec)
     # Campaign cells build fault-injected simulations, so there is no

@@ -273,6 +273,35 @@ def truncate_torn_tail(path: pathlib.Path | str) -> bool:
     return False
 
 
+def _parse_line(
+    path: pathlib.Path, lineno: int, line: str, torn_ok: bool = False
+) -> LedgerRecord | None:
+    """One ledger line as a record.
+
+    A line that does not parse is corruption (:class:`LedgerCorruption`
+    naming ``path:lineno``), unless ``torn_ok`` says it may be a torn
+    append — the file's last line — in which case it yields ``None``.
+    """
+    try:
+        payload = json.loads(line)
+    except json.JSONDecodeError as exc:
+        if torn_ok:
+            return None  # torn trailing line: a crash mid-append, not corruption
+        raise LedgerCorruption(
+            f"{path}:{lineno}: unparsable ledger line (not the trailing "
+            f"line, so this is corruption, not a torn append): {exc}; "
+            f"line starts {line[:60]!r}"
+        ) from None
+    try:
+        return LedgerRecord.from_payload(payload)
+    except (KeyError, TypeError, ValueError) as exc:
+        raise LedgerCorruption(
+            f"{path}:{lineno}: ledger line parses as JSON but is not a "
+            f"valid record ({type(exc).__name__}: {exc}); "
+            f"line starts {line[:60]!r}"
+        ) from None
+
+
 def read_records(path: pathlib.Path | str) -> list[LedgerRecord]:
     """Read every record of a ledger file, tolerating a torn last line.
 
@@ -287,37 +316,34 @@ def read_records(path: pathlib.Path | str) -> list[LedgerRecord]:
     lines = path.read_text().splitlines()
     records: list[LedgerRecord] = []
     for lineno, line in enumerate(lines, start=1):
-        if not line.strip():
-            continue
-        try:
-            payload = json.loads(line)
-        except json.JSONDecodeError as exc:
-            if lineno == len(lines):
-                break  # torn trailing line: a crash mid-append, not corruption
-            raise LedgerCorruption(
-                f"{path}:{lineno}: unparsable ledger line (not the trailing "
-                f"line, so this is corruption, not a torn append): {exc}; "
-                f"line starts {line[:60]!r}"
-            ) from None
-        try:
-            records.append(LedgerRecord.from_payload(payload))
-        except (KeyError, TypeError, ValueError) as exc:
-            raise LedgerCorruption(
-                f"{path}:{lineno}: ledger line parses as JSON but is not a "
-                f"valid record ({type(exc).__name__}: {exc}); "
-                f"line starts {line[:60]!r}"
-            ) from None
+        if line.strip():
+            record = _parse_line(path, lineno, line, torn_ok=lineno == len(lines))
+            if record is not None:
+                records.append(record)
     return records
+
+
+def _read_bytes(path: pathlib.Path, start: int = 0) -> tuple[bytes, int | None]:
+    """The file's bytes from ``start`` on, and its inode (``b"", None``
+    when it does not exist)."""
+    try:
+        with open(path, "rb") as handle:
+            handle.seek(start)
+            return handle.read(), os.fstat(handle.fileno()).st_ino
+    except FileNotFoundError:
+        return b"", None
 
 
 class RunLedger:
     """Append-only, content-addressed JSONL store of run records.
 
     Loads its index lazily on first use and keeps it in sync with its own
-    appends; one :class:`RunLedger` instance assumes it is the only
-    writer for its lifetime (the CLI model — one command, one ledger
-    handle).  ``use_cache=False`` makes :meth:`cached` always miss, which
-    is how ``--no-cache`` forces recomputation while still recording.
+    appends.  A handle that lives across commands (the serve dispatcher's,
+    one for the server's lifetime) calls :meth:`refresh` before each one
+    to index what other writers appended meanwhile; a one-command handle
+    (the CLI model) never needs to.  ``use_cache=False`` makes
+    :meth:`cached` always miss, which is how ``--no-cache`` forces
+    recomputation while still recording.
     """
 
     def __init__(self, path: pathlib.Path | str, use_cache: bool = True):
@@ -326,6 +352,16 @@ class RunLedger:
         self._records: list[LedgerRecord] | None = None
         self._identities: set[str] | None = None
         self._by_fingerprint: dict[str, list[LedgerRecord]] = {}
+        # Where refresh() resumes: the byte offset after the last line
+        # read, that line's bytes (to notice a rewrite), the newlines
+        # before the offset (for absolute line numbers) and the inode.
+        self._offset = 0
+        self._tail = b""
+        self._lines = 0
+        self._inode: int | None = None
+        #: How many of the last ``_records`` this handle appended after
+        #: the offset: refresh() meets their lines again and skips them.
+        self._unread = 0
         #: Cache accounting for this handle's lifetime: how many
         #: :meth:`cached` probes were served vs missed.  Campaign resume
         #: reporting ("N cells served from checkpoint") reads these.
@@ -335,12 +371,111 @@ class RunLedger:
     # -- reading -------------------------------------------------------------
 
     def _load(self) -> None:
-        if self._records is not None:
-            return
-        self._records = read_records(self.path)
-        self._identities = {r.identity() for r in self._records}
+        if self._records is None:
+            self._reload()
+
+    def _reload(self) -> None:
+        """Index the whole file through :func:`read_records`.
+
+        The bytes are read first: the file only grows by whole lines
+        between the two reads, so the records of those bytes' complete
+        lines are a prefix of what :func:`read_records` returns, and
+        :meth:`refresh` resumes right after them.
+        """
+        data, inode = _read_bytes(self.path)
+        records = read_records(self.path)
+        end = data.rfind(b"\n") + 1
+        if data[end:].strip():
+            try:
+                json.loads(data[end:])
+                end = len(data)  # read_records keeps a line missing its newline
+            except ValueError:
+                pass  # a torn append, left for refresh()
+        count = sum(1 for line in data[:end].split(b"\n") if line.strip())
+        self._index(records[:count])
+        self._lines = data.count(b"\n", 0, end)
+        self._resume(data, end, 0, inode)
+
+    def _index(self, records: list[LedgerRecord]) -> None:
+        self._records = list(records)
+        self._identities = {r.identity() for r in records}
+        self._rebuild_fingerprints()
+        self._unread = 0
+
+    def _rebuild_fingerprints(self) -> None:
+        assert self._records is not None
+        self._by_fingerprint = {}
         for record in self._records:
             self._by_fingerprint.setdefault(record.fingerprint, []).append(record)
+
+    def _resume(self, data: bytes, end: int, start: int, inode: int | None) -> None:
+        """Record that the file was read up to ``start + end``, where
+        ``data`` holds the file's bytes from ``start`` on."""
+        self._offset = start + end
+        self._tail = data[data.rfind(b"\n", 0, max(0, end - 1)) + 1 : end]
+        self._inode = inode
+
+    def refresh(self) -> None:
+        """Index the complete lines appended since this handle last read
+        the file.
+
+        Lines this handle appended itself are already indexed and are
+        skipped; a complete line that does not parse raises
+        :class:`LedgerCorruption` with its absolute line number, leaving
+        the index as it was; a trailing line without its newline is left
+        for the next refresh.  When the file shrank, was replaced, or no
+        longer holds the last line read at the stored offset (``repro
+        history gc`` rewrites it in place), the index is rebuilt from the
+        whole file.  Afterwards :meth:`records` equals
+        :func:`read_records` of the file up to its last newline.
+        """
+        if self._records is None:
+            self._reload()
+            return
+        start = self._offset - len(self._tail)
+        data, inode = _read_bytes(self.path, start)
+        if (
+            (inode is None and (self._offset or self._unread))
+            or (self._inode is not None and inode != self._inode)
+            or not data.startswith(self._tail)
+        ):
+            self._reload()
+            return
+        end = data.rfind(b"\n") + 1
+        if end <= len(self._tail):
+            return
+        consumed = len(self._records) - self._unread
+        own = self._records[consumed:]
+        own_lines = [record.to_line().encode("utf-8") for record in own]
+        fresh: list[LedgerRecord] = []
+        foreign: list[LedgerRecord] = []
+        matched = 0
+        lines = data[len(self._tail) : end].split(b"\n")[:-1]
+        for lineno, line in enumerate(lines, start=self._lines + 1):
+            if not line.strip():
+                continue
+            if matched < len(own) and line == own_lines[matched]:
+                fresh.append(own[matched])
+                matched += 1
+                continue
+            record = _parse_line(self.path, lineno, line.decode("utf-8", "replace"))
+            assert record is not None
+            fresh.append(record)
+            foreign.append(record)
+        self._records[consumed:] = fresh + own[matched:]
+        if foreign:
+            assert self._identities is not None
+            self._identities.update(record.identity() for record in foreign)
+            if own:  # foreign lines may precede own ones: keep file order
+                self._rebuild_fingerprints()
+            else:
+                for record in foreign:
+                    self._by_fingerprint.setdefault(record.fingerprint, []).append(
+                        record
+                    )
+        self._unread = len(own) - matched
+        self._lines += len(lines)
+        self._resume(data, end, start, inode)
 
     def records(self) -> list[LedgerRecord]:
         self._load()
@@ -398,6 +533,7 @@ class RunLedger:
         self._records.append(record)
         self._identities.add(identity)
         self._by_fingerprint.setdefault(record.fingerprint, []).append(record)
+        self._unread += 1
         return True
 
     def append_all(self, records: Iterable[LedgerRecord]) -> int:
@@ -420,16 +556,15 @@ class RunLedger:
                 continue
             seen.add(identity)
             kept.append(record)
+        data = "".join(record.to_line() + "\n" for record in kept).encode("utf-8")
+        inode = None
         if self.path.exists() or kept:
             self.path.parent.mkdir(parents=True, exist_ok=True)
-            self.path.write_text(
-                "".join(record.to_line() + "\n" for record in kept)
-            )
-        self._records = list(kept)
-        self._identities = set(seen)
-        self._by_fingerprint = {}
-        for record in kept:
-            self._by_fingerprint.setdefault(record.fingerprint, []).append(record)
+            self.path.write_bytes(data)
+            inode = self.path.stat().st_ino
+        self._index(kept)
+        self._lines = len(kept)
+        self._resume(data, len(data), 0, inode)
         return len(kept), len(records) - len(kept)
 
 

@@ -9,6 +9,7 @@ that :func:`run_tasks_partial` executes under, and ``docs/performance.md``
 from repro.parallel.engine import (
     ParallelExecutionError,
     TaskError,
+    WorkerPool,
     available_workers,
     resolve_batch_size,
     resolve_workers,
@@ -19,6 +20,7 @@ from repro.parallel.engine import (
 __all__ = [
     "ParallelExecutionError",
     "TaskError",
+    "WorkerPool",
     "available_workers",
     "resolve_batch_size",
     "resolve_workers",

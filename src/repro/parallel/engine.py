@@ -25,17 +25,23 @@ size, a task function carrying ``batch_lane``/``batch_value`` hooks runs
 each unit's eligible tasks through the fused interpreter
 (:func:`repro.batch.engine.run_lanes`) first and the rest through itself.
 
-With ``workers >= 2`` one supervised pool runs the units: it forks up to
-``workers`` daemon processes that live for the whole call.  A worker gets
-its first unit as a fork argument (inherited with the task function, so
-neither is pickled) and later units over its pipe, and answers each unit
-with one message listing every task's result or :class:`TaskError` — a
-task that raises fails alone.  A worker that dies outright (SIGKILL,
-segfault, ``os._exit``) or outlives its unit's wall-clock deadline is
-killed, and every task of its unit is charged ``WorkerDied`` or
-``TaskTimeout``.  When no unit is ready or waiting out a retry backoff,
-an idle worker is told to exit at once.  A single unit runs in-process
-only when it needs no isolation.
+With ``workers >= 2`` one supervised pool runs the units.  Given an
+integer it forks up to ``workers`` daemon processes that live for the
+whole call: a worker gets its first unit as a fork argument (inherited
+with the task function, so neither is pickled) and later units over its
+pipe.  Given a :class:`WorkerPool` — the serve dispatcher keeps one for
+the server's lifetime — the call takes its workers from the pool
+instead: they were started with the ``spawn`` method, receive ``fn``
+pickled once per call, then units over their pipes, and go back to the
+pool when the call has nothing left for them.  Either way a worker
+answers each unit with one message listing every task's result or
+:class:`TaskError` — a task that raises fails alone.  A worker that dies
+outright (SIGKILL, segfault, ``os._exit``) or outlives its unit's
+wall-clock deadline is killed, never reused, and every task of its unit
+is charged ``WorkerDied`` or ``TaskTimeout``.  When no unit is ready or
+waiting out a retry backoff, an idle worker is released at once: a
+forked one told to exit, a pool worker parked.  A single unit runs
+in-process only when it needs no isolation.
 
 Failures never hang and never raise mid-call.  :func:`run_tasks_partial`
 runs under a :class:`~repro.resilience.policy.FailurePolicy`: a failed
@@ -47,19 +53,25 @@ budget pressure, and the caller receives a
 Because every task re-runs from its own seed, a retried campaign's merged
 output stays bit-identical to an undisturbed run.
 
-The engine uses the ``fork`` start method so the task function — which may
-be a closure or lambda (protocol factories, scheduler tables) — is
-inherited by the workers instead of pickled.  Task inputs and results
-still cross the process boundary and must be picklable.  On platforms
-without ``fork`` the engine degrades to the in-process loop rather than
-failing (documented in ``docs/performance.md``).
+A per-call pool uses the ``fork`` start method so the task function —
+which may be a closure or lambda (protocol factories, scheduler tables) —
+is inherited by the workers instead of pickled; on platforms without
+``fork`` such a call degrades to the in-process loop rather than failing
+(documented in ``docs/performance.md``).  A :class:`WorkerPool` spawns
+its workers, because its owner is a multithreaded server that must not
+fork, so its calls need a picklable ``fn``.  Task inputs and results
+cross the process boundary either way and must be picklable.
 """
 
 from __future__ import annotations
 
+import functools
 import heapq
 import multiprocessing
 import os
+import pickle
+import signal
+import threading
 import time
 import traceback
 from collections import deque
@@ -74,6 +86,7 @@ if TYPE_CHECKING:  # pragma: no cover
 __all__ = [
     "ParallelExecutionError",
     "TaskError",
+    "WorkerPool",
     "available_workers",
     "resolve_batch_size",
     "resolve_workers",
@@ -423,20 +436,44 @@ def _run_in_process(
 
 def _worker(
     conn: connection.Connection,
-    parent_end: connection.Connection,
-    run_unit: _RunUnit,
-    unit: _Unit | None,
+    run_unit: _RunUnit | None = None,
+    unit: _Unit | None = None,
+    parent_end: connection.Connection | None = None,
 ) -> None:
     """Worker process body: answer units until told to stop.
 
-    The first unit arrives as a fork argument, later ones over the pipe;
-    ``None`` means exit.  A worker that dies outright sends nothing and
-    the parent reads EOF instead.
+    A forked worker gets ``run_unit`` and its first unit as fork
+    arguments.  A spawned :class:`WorkerPool` worker starts with neither:
+    every call first sends it a ``(pickled fn, fused)`` pair, which it
+    acknowledges with ``None`` once loaded, then units.  ``None`` from the
+    parent means exit.  A worker that dies outright sends nothing and the
+    parent reads EOF instead.
     """
-    # Drop the inherited copy of the parent's end, so a vanished parent
-    # reads as EOF here instead of leaving this worker blocked forever.
-    parent_end.close()
-    while unit is not None:
+    if parent_end is not None:
+        # Drop the inherited copy of the parent's end, so a vanished parent
+        # reads as EOF here instead of leaving this worker blocked forever.
+        parent_end.close()
+    else:
+        # A pool worker shares the server's terminal: Ctrl-C is the
+        # server's to handle, and it stops its workers over their pipes.
+        signal.signal(signal.SIGINT, signal.SIG_IGN)
+    while True:
+        if unit is None:
+            try:
+                message = conn.recv()
+            except (EOFError, OSError):
+                return  # the parent is gone
+            if message is None:
+                return
+            if isinstance(message, tuple):
+                run_unit = _load_call(*message)
+                try:
+                    conn.send(None)
+                except OSError:
+                    return
+                continue
+            unit = message
+        assert run_unit is not None
         outcomes = run_unit(unit)
         try:
             conn.send(outcomes)
@@ -446,10 +483,213 @@ def _worker(
             conn.send(
                 [("err", index, _task_error(index, task, exc)) for index, task in unit]
             )
+        unit = None
+
+
+def _load_call(blob: bytes, fused: bool) -> _RunUnit:
+    """A pool worker's unit runner for one call.  A task function that
+    does not load in the worker fails every task with the load error."""
+    try:
+        fn = pickle.loads(blob)
+    except Exception as exc:  # noqa: BLE001 - reported by every task instead
+        fn = functools.partial(_unloadable, f"{type(exc).__name__}: {exc}")
+    return _unit_runner(fn, fused, BaseException)
+
+
+def _unloadable(error: str, task: Any) -> Any:
+    raise RuntimeError(f"the task function did not load in the worker: {error}")
+
+
+def _send_exit(conn: connection.Connection) -> None:
+    """Tell a worker to exit; a dead one cannot hear it, which is fine."""
+    try:
+        conn.send(None)
+    except OSError:
+        pass
+
+
+def _reap(conn: connection.Connection, process: Any) -> None:
+    """Kill a worker, wait for it and close its pipe."""
+    process.kill()
+    process.join()
+    conn.close()
+
+
+class _Forked:
+    """The workers of one call with an integer ``workers``: forked with
+    the unit runner and their first unit, told to exit when released."""
+
+    #: A forked worker has its task function from the start.
+    acknowledges = False
+
+    def __init__(self, run_unit: _RunUnit):
+        self._context = multiprocessing.get_context("fork")
+        self._run_unit = run_unit
+        self._retired: list[Any] = []
+
+    def start(self, unit: _Unit) -> tuple[connection.Connection, Any]:
+        parent_end, child_end = self._context.Pipe()
+        process = self._context.Process(
+            target=_worker,
+            args=(child_end, self._run_unit, unit, parent_end),
+            daemon=True,
+        )
+        process.start()
+        # Close the parent's copy of the child end at once, so a dead
+        # worker yields EOF and later forks don't inherit it.
+        child_end.close()
+        return parent_end, process
+
+    def release(self, conn: connection.Connection, process: Any) -> None:
+        _send_exit(conn)
+        conn.close()
+        self._retired.append(process)
+
+    def discard(self, conn: connection.Connection, process: Any) -> None:
+        _reap(conn, process)
+
+    def close(self) -> None:
+        for process in self._retired:
+            process.join()
+
+
+class WorkerPool:
+    """Supervised worker processes that outlive a single engine call.
+
+    Pass one as ``workers`` to :func:`run_tasks` or
+    :func:`run_tasks_partial` and the call runs its units on these
+    workers instead of forking its own.  Everything else — unit sizes,
+    deadlines, retries, admission, failure charging — is the same
+    supervisor loop.  Workers are daemon processes started with the
+    ``spawn`` method (the owner may be multithreaded, where ``fork`` is
+    unsafe), lazily, when a unit first needs one; between calls they wait
+    idle on their pipes.  A call pickles its task function once and sends
+    it to each worker it takes, so ``fn`` must pickle: if it does not, the
+    call raises :class:`TypeError` before any task runs.
+
+    A worker that died or was killed (a crash, a blown deadline) is never
+    put back; the next unit that needs a worker gets a freshly spawned
+    one, and an idle worker found dead when a call takes it is replaced
+    without charging anyone.  One call at a time may use a pool;
+    :meth:`close` may come from another thread and kills the workers of
+    a call in flight, whose next worker request then raises
+    ``RuntimeError``.  A worker whose owner vanished reads EOF on its
+    pipe and exits.
+    """
+
+    #: Seconds :meth:`close` gives an idle worker to exit before killing it.
+    STOP_TIMEOUT = 5.0
+
+    def __init__(self, workers: int):
+        self.size = resolve_workers(workers)
+        self._context = multiprocessing.get_context("spawn")
+        self._lock = threading.Lock()
+        self._idle: list[tuple[connection.Connection, Any]] = []
+        self._live: set[Any] = set()
+        self._closed = False
+
+    def close(self) -> None:
+        """Stop every worker and wait for it; the pool takes no more calls."""
+        with self._lock:
+            self._closed = True
+            idle, self._idle = self._idle, []
+            for conn, _ in idle:
+                _send_exit(conn)
+            deadline = time.monotonic() + self.STOP_TIMEOUT
+            for conn, process in idle:
+                process.join(max(0.0, deadline - time.monotonic()))
+                _reap(conn, process)
+                self._live.discard(process)
+            # Workers lent to a call in flight: that call reads EOF on
+            # their pipes, charges their units and closes the pipes.
+            for process in self._live:
+                process.kill()
+                process.join()
+            self._live = set()
+
+    def __enter__(self) -> "WorkerPool":
+        return self
+
+    def __exit__(self, *exc_info: Any) -> None:
+        self.close()
+
+    def _lease(self, fn: Callable[[Any], Any], fused: bool) -> "_Lease":
         try:
-            unit = conn.recv()
-        except (EOFError, OSError):
-            return
+            blob = pickle.dumps(fn)
+        except Exception as exc:  # noqa: BLE001 - pickling raises many types
+            raise TypeError(
+                f"task function {fn!r} does not pickle, so it cannot run on "
+                f"a WorkerPool: {type(exc).__name__}: {exc}"
+            ) from exc
+        return _Lease(self, (blob, fused))
+
+    def _take(self) -> tuple[connection.Connection, Any]:
+        """An idle live worker, else a freshly spawned one."""
+        with self._lock:
+            if self._closed:
+                raise RuntimeError("the WorkerPool is closed")
+            while self._idle:
+                conn, process = self._idle.pop()
+                if process.is_alive():
+                    return conn, process
+                self._live.discard(process)
+                _reap(conn, process)
+            parent_end, child_end = self._context.Pipe()
+            process = self._context.Process(
+                target=_worker, args=(child_end,), daemon=True
+            )
+            process.start()
+            child_end.close()
+            self._live.add(process)
+            return parent_end, process
+
+    def _park(self, conn: connection.Connection, process: Any) -> None:
+        with self._lock:
+            if not self._closed:
+                self._idle.append((conn, process))
+                return
+        _send_exit(conn)
+        conn.close()
+
+    def _discard(self, conn: connection.Connection, process: Any) -> None:
+        with self._lock:
+            self._live.discard(process)
+            _reap(conn, process)
+
+
+class _Lease:
+    """One call's use of a :class:`WorkerPool`: each worker it takes is
+    first sent the call's pickled task function."""
+
+    #: A pool worker acknowledges loading the call's task function; its
+    #: first unit's deadline starts then, so start-up is not charged.
+    acknowledges = True
+
+    def __init__(self, pool: WorkerPool, header: tuple[bytes, bool]):
+        self._pool = pool
+        self._header = header
+
+    def start(self, unit: _Unit) -> tuple[connection.Connection, Any]:
+        while True:
+            conn, process = self._pool._take()
+            try:
+                conn.send(self._header)
+                conn.send(unit)
+            except OSError:
+                # Died while idle, after the liveness check: replaced,
+                # not charged.
+                self._pool._discard(conn, process)
+                continue
+            return conn, process
+
+    def release(self, conn: connection.Connection, process: Any) -> None:
+        self._pool._park(conn, process)
+
+    def discard(self, conn: connection.Connection, process: Any) -> None:
+        self._pool._discard(conn, process)
+
+    def close(self) -> None:
+        pass
 
 
 @dataclass
@@ -460,10 +700,12 @@ class _Slot:
     unit: tuple[int, ...] | None
     attempt: int
     deadline: float | None
+    #: Still loading the call's task function (no deadline yet).
+    loading: bool = False
 
 
 def _run_pool(
-    run_unit: _RunUnit,
+    workers: "_Forked | _Lease",
     tasks: Sequence[Any],
     size: int,
     count: int,
@@ -472,6 +714,7 @@ def _run_pool(
 ) -> int:
     """The supervised pool; returns the number of units dispatched.
 
+    ``workers`` starts, releases and discards the worker processes.
     Deadlines are enforced parent-side: a worker still running its unit
     past ``task_timeout`` seconds is SIGKILLed (the pool-level analogue of
     the simulation watchdog's livelock halt).
@@ -485,8 +728,6 @@ def _run_pool(
     )
     delayed: list[tuple[float, tuple[int, ...], int]] = []  # heap by ready_at
     slots: dict[connection.Connection, _Slot] = {}
-    retired: list[Any] = []
-    context = multiprocessing.get_context("fork")
     dispatched = 0
 
     def deadline() -> float | None:
@@ -516,13 +757,10 @@ def _run_pool(
         return outcomes
 
     def drop(conn: connection.Connection) -> None:
-        process = slots.pop(conn).process
-        process.kill()
-        process.join()
-        conn.close()
+        workers.discard(conn, slots.pop(conn).process)
 
     def feed(conn: connection.Connection, slot: _Slot) -> None:
-        """Hand an idle worker the next ready unit, or retire it when
+        """Hand an idle worker the next ready unit, or release it when
         nothing is ready or delayed; otherwise it waits for a retry."""
         nonlocal dispatched
         if ready:
@@ -534,12 +772,7 @@ def _run_pool(
             except OSError:
                 pass  # a dead worker reads as EOF below
         elif not delayed:
-            try:
-                conn.send(None)
-            except OSError:
-                pass
-            conn.close()
-            retired.append(slots.pop(conn).process)
+            workers.release(conn, slots.pop(conn).process)
 
     try:
         while True:
@@ -552,22 +785,11 @@ def _run_pool(
                     feed(conn, slot)
             while ready and len(slots) < count:
                 unit, attempt = ready.popleft()
-                parent_end, child_end = context.Pipe()
-                process = context.Process(
-                    target=_worker,
-                    args=(
-                        child_end,
-                        parent_end,
-                        run_unit,
-                        [(index, tasks[index]) for index in unit],
-                    ),
-                    daemon=True,
-                )
-                process.start()
-                # Close the parent's copy of the child end at once, so a
-                # dead worker yields EOF and later forks don't inherit it.
-                child_end.close()
-                slots[parent_end] = _Slot(process, unit, attempt, deadline())
+                conn, process = workers.start([(index, tasks[index]) for index in unit])
+                if workers.acknowledges:
+                    slots[conn] = _Slot(process, unit, attempt, None, loading=True)
+                else:
+                    slots[conn] = _Slot(process, unit, attempt, deadline())
                 dispatched += 1
             busy = [conn for conn, slot in slots.items() if slot.unit is not None]
             if not busy:
@@ -597,6 +819,9 @@ def _run_pool(
                     )
                     settle(outcomes, slot.attempt, timed_out=False)
                     continue
+                if slot.loading:  # the acknowledgement: the unit starts now
+                    slot.loading, slot.deadline = False, deadline()
+                    continue
                 # Hand out the next unit before booking this one, so the
                 # worker computes while the parent writes checkpoints.
                 attempt, slot.unit = slot.attempt, None
@@ -623,15 +848,14 @@ def _run_pool(
     finally:
         for conn in list(slots):
             drop(conn)
-        for process in retired:
-            process.join()
+        workers.close()
     return dispatched
 
 
 def run_tasks_partial(
     fn: Callable[[Any], Any],
     tasks: Iterable[Any],
-    workers: int | None = None,
+    workers: "int | WorkerPool | None" = None,
     batch_size: int | None = None,
     progress: Callable[[int, int], None] | None = None,
     metrics: Any = None,
@@ -678,8 +902,14 @@ def run_tasks_partial(
     tasks = list(tasks)
     if policy is None:
         policy = FailurePolicy.fail_fast()
-    count = resolve_workers(workers)
     batch_size = resolve_batch_size(batch_size)
+    fused = batch_size is not None
+    if isinstance(workers, WorkerPool):
+        lease: _Lease | None = workers._lease(fn, fused)
+        count = workers.size
+    else:
+        lease = None
+        count = resolve_workers(workers)
     isolate = (
         policy.mode != "fail_fast"
         or task_timeout is not None
@@ -696,15 +926,17 @@ def run_tasks_partial(
     # deadline needs a killable worker, and a crash must not take the
     # caller down with it.
     pooled = (
-        count > 1 and (units > 1 or (units == 1 and isolate)) and _fork_available()
+        count > 1
+        and (units > 1 or (units == 1 and isolate))
+        and (lease is not None or _fork_available())
     )
     collector = _Collector(len(tasks), policy, progress, on_result, admission)
-    run_unit = _unit_runner(
-        fn, batch_size is not None, BaseException if pooled else Exception
-    )
+    run_unit = _unit_runner(fn, fused, BaseException if pooled else Exception)
     if pooled:
         count = min(count, units)
-        chunks = _run_pool(run_unit, tasks, size, count, task_timeout, collector)
+        chunks = _run_pool(
+            lease or _Forked(run_unit), tasks, size, count, task_timeout, collector
+        )
     else:
         # In-process there is no dispatch to amortise: only lanes group.
         _run_in_process(run_unit, tasks, batch_size or 1, collector)
@@ -720,7 +952,7 @@ def run_tasks_partial(
 def run_tasks(
     fn: Callable[[Any], Any],
     tasks: Iterable[Any],
-    workers: int | None = None,
+    workers: "int | WorkerPool | None" = None,
     batch_size: int | None = None,
     progress: Callable[[int, int], None] | None = None,
     metrics: Any = None,
@@ -731,12 +963,16 @@ def run_tasks(
     """Run ``fn`` over every task, possibly across processes; keep order.
 
     Args:
-        fn: the task function.  May be any callable — closures included —
-            because workers inherit it via ``fork`` rather than pickling.
+        fn: the task function.  With an integer ``workers`` it may be any
+            callable — closures included — because workers inherit it via
+            ``fork`` rather than pickling; with a :class:`WorkerPool` it
+            must pickle (else :class:`TypeError` before any task runs).
         tasks: the task inputs.  Each must be picklable, as must ``fn``'s
             return values.
         workers: process count; see :func:`resolve_workers`.  ``<= 1`` (the
-            default) runs the plain loop in this process.
+            default) runs the plain loop in this process.  A
+            :class:`WorkerPool` runs the call on its long-lived workers
+            (its ``size`` is the count).
         batch_size: tasks per dispatched unit; see
             :func:`resolve_batch_size`.  ``None`` (and ``REPRO_BATCH``
             unset) works the unit size out: one task when the call needs

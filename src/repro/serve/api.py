@@ -187,6 +187,7 @@ class ReproServer:
         self.httpd.serve_forever(poll_interval=0.1)
 
     def stop(self) -> None:
+        """Shut down; when this returns, no engine worker is alive."""
         self.dispatcher.stop()
         self.httpd.shutdown()
         self.httpd.server_close()
@@ -198,7 +199,7 @@ class ReproServer:
             "status": "ok",
             "uptime_seconds": round(time.time() - self.started, 3),
             "jobs": self.queue.counts(),
-            "workers": self.config.workers,
+            "workers": self.dispatcher.workers,
             "ledger": str(self.config.resolved_ledger()),
         }
 

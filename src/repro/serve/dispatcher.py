@@ -3,20 +3,24 @@
 One daemon thread claims jobs oldest-first and executes them through
 the *same* workload builders the CLI uses (:mod:`repro.workloads`), so
 a job's ledger records are byte-identical to the equivalent CLI run.
-Every job opens a fresh :class:`~repro.obs.ledger.RunLedger` handle on
-the server's ledger file: cells the ledger already holds are cache
-hits, fresh cells checkpoint incrementally via the experiment layer's
-:class:`~repro.resilience.checkpoint.LedgerCheckpointer` — which is
-exactly what makes a SIGTERM survivable: the killed server leaves a
+The dispatcher keeps one :class:`~repro.obs.ledger.RunLedger` handle on
+the server's ledger file for its lifetime and refreshes it as each job
+starts, so it reads only the lines appended since the previous job —
+including a concurrent CLI run's.  Cells the ledger already holds are
+cache hits, fresh cells checkpoint incrementally via the experiment
+layer's :class:`~repro.resilience.checkpoint.LedgerCheckpointer` — which
+is exactly what makes a SIGTERM survivable: the killed server leaves a
 valid submission-order ledger prefix, the restarted one requeues the
 job and recomputes only the missing fingerprints.
 
 Jobs run under the server's
 :class:`~repro.resilience.policy.FailurePolicy` (continue-and-report by
-default).  At ``workers > 1`` the engine runs them on its supervised pool
-of *daemon* worker processes; a worker whose server has vanished exits at
-its next pipe read or write, so an abrupt shutdown never leaves workers
-behind for longer than the unit they were running.
+default).  At ``workers > 1`` every job runs on one
+:class:`~repro.parallel.WorkerPool` that lives as long as the
+dispatcher: its *daemon* workers are spawned on the first job that needs
+them and wait idle between jobs.  :meth:`Dispatcher.stop` stops them; a
+worker whose server vanished (SIGTERM exits at once) reads EOF on its
+pipe and exits — idle at once, busy after the unit it was running.
 """
 
 from __future__ import annotations
@@ -27,6 +31,7 @@ import traceback
 from typing import TYPE_CHECKING, Any, Callable
 
 from repro.obs.ledger import LedgerRecord, RunLedger
+from repro.parallel import WorkerPool, resolve_workers
 from repro.serve.queue import Job, JobQueue
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -45,12 +50,13 @@ _RESILIENCE_COUNTERS = (
 class _TimedLedger(RunLedger):
     """A :class:`RunLedger` that timestamps its own appends.
 
-    The dispatcher hands one of these to the workload builders; the
+    The dispatcher hands its one instance to the workload builders; the
     experiment layer's :class:`~repro.resilience.checkpoint.
     LedgerCheckpointer` flushes through :meth:`append` as cells finish,
     so the first/last append times bracket exactly the job's
     checkpointing activity — which the dispatcher then emits as the
-    job's ``checkpoint`` span in the job trace.
+    job's ``checkpoint`` span in the job trace.  :meth:`begin_job`
+    zeroes that accounting, and the cache hits and misses, per job.
     """
 
     def __init__(self, path: Any, clock: Callable[[], float] = time.time):
@@ -59,6 +65,13 @@ class _TimedLedger(RunLedger):
         self.first_append: float | None = None
         self.last_append: float | None = None
         self.appended = 0
+
+    def begin_job(self) -> None:
+        """Index what other writers appended since the previous job and
+        start this job's accounting from zero."""
+        self.refresh()
+        self.hits = self.misses = self.appended = 0
+        self.first_append = self.last_append = None
 
     def append(self, record: LedgerRecord) -> bool:
         wrote = super().append(record)
@@ -78,7 +91,10 @@ class Dispatcher(threading.Thread):
         queue: the persistent job queue.
         ledger_path: the server's run ledger file (every job appends to
             this one store, under the cross-process file lock).
-        workers: engine worker processes per job (1 = in-process).
+        workers: engine worker processes, shared by all jobs (0 = all
+            CPUs; 1 = in-process).  From 2 on they form one
+            :class:`~repro.parallel.WorkerPool` for the dispatcher's
+            lifetime.
         policy: failure policy every job runs under (default
             continue-and-report).
         task_timeout: optional per-cell wall-clock deadline (seconds).
@@ -108,8 +124,9 @@ class Dispatcher(threading.Thread):
         from repro.resilience import FailurePolicy
 
         self.queue = queue
-        self.ledger_path = ledger_path
-        self.workers = workers
+        self.ledger = _TimedLedger(ledger_path)
+        self.workers = resolve_workers(workers)
+        self.pool = WorkerPool(self.workers) if self.workers > 1 else None
         self.policy = (
             policy
             if policy is not None
@@ -124,8 +141,13 @@ class Dispatcher(threading.Thread):
     # -- lifecycle -----------------------------------------------------------
 
     def stop(self) -> None:
+        """Stop claiming jobs and stop the pool's workers.  A job still
+        running stays RUNNING in the job log, to be requeued at the next
+        boot."""
         self._halt.set()
         self.queue.wake.set()
+        if self.pool is not None:
+            self.pool.close()
 
     def run(self) -> None:  # pragma: no cover - exercised via the server
         while not self._halt.is_set():
@@ -143,11 +165,15 @@ class Dispatcher(threading.Thread):
         try:
             result = self._run_spec(job)
         except Exception as exc:  # noqa: BLE001 - any job error is terminal
+            if self._halt.is_set():
+                return  # stopped under it: left for the next boot's requeue
             detail = traceback.format_exc(limit=4)
             self._trace_resilience(job, self._resilience_delta(before))
             self._count_job("failed")
             self.queue.fail(job.id, f"{type(exc).__name__}: {exc}\n{detail}")
             return
+        if self._halt.is_set():
+            return  # its workers may have been killed mid-job
         result["resilience"] = self._resilience_delta(before)
         self._trace_resilience(job, result["resilience"])
         self._count_job("done")
@@ -158,9 +184,10 @@ class Dispatcher(threading.Thread):
     def _run_spec(self, job: Job) -> dict[str, Any]:
         kind = job.spec["kind"]
         params = job.spec["params"]
-        # A fresh handle per job sees everything on disk — including
-        # records a concurrent CLI run appended since the last job.
-        ledger = _TimedLedger(self.ledger_path)
+        # The refresh sees everything on disk — including records a
+        # concurrent CLI run appended since the last job.
+        ledger = self.ledger
+        ledger.begin_job()
         runner = {
             "sweep": self._run_sweep,
             "fuzz": self._run_fuzz,
@@ -226,7 +253,7 @@ class Dispatcher(threading.Thread):
             metrics=self.metrics,
         )
         points = sweep.execute(
-            workers=self.workers, progress=self._progress(job)
+            workers=self.pool or self.workers, progress=self._progress(job)
         )
         samples = [value for point in points for value in point.samples]
         return {
@@ -254,7 +281,7 @@ class Dispatcher(threading.Thread):
             recovery_probability=params["recovery_probability"],
             fault_probability=params["fault_probability"],
             master_seed=params["seed"],
-            workers=self.workers,
+            workers=self.pool or self.workers,
             progress=self._progress(job),
             ledger=ledger,
             experiment="fuzz",
@@ -280,7 +307,7 @@ class Dispatcher(threading.Thread):
         report = run_mutation_campaign(
             seed=params["seed"],
             consensus_max_steps=params["consensus_max_steps"],
-            workers=self.workers,
+            workers=self.pool or self.workers,
             ledger=ledger,
             experiment="campaign",
             policy=self.policy,
@@ -309,7 +336,7 @@ class Dispatcher(threading.Thread):
 
         campaign = run_mutation_campaign(
             seed=params["seed"],
-            workers=self.workers,
+            workers=self.pool or self.workers,
             ledger=ledger,
             experiment=CHAOS_EXPERIMENTS["campaign"],
             policy=self.policy,
@@ -323,7 +350,7 @@ class Dispatcher(threading.Thread):
             crash_probability=1.0,
             recovery_probability=1.0,
             master_seed=params["seed"],
-            workers=self.workers,
+            workers=self.pool or self.workers,
             progress=self._progress(job),
             ledger=ledger,
             experiment=CHAOS_EXPERIMENTS["recovery"],
@@ -338,7 +365,7 @@ class Dispatcher(threading.Thread):
             crash_probability=0.0,
             fault_probability=1.0,
             master_seed=params["seed"],
-            workers=self.workers,
+            workers=self.pool or self.workers,
             ledger=ledger,
             experiment=CHAOS_EXPERIMENTS["faults"],
             policy=self.policy,

@@ -21,24 +21,19 @@ injects register faults and counts how often the validators catch them.
 from __future__ import annotations
 
 import dataclasses
+import functools
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any, Callable, Iterable
 
-from repro.consensus.ads import pref_reader
 from repro.consensus.interface import ConsensusRun
 from repro.consensus.validation import validate_run
 from repro.faults.plan import FaultPlan
 from repro.faults.watchdog import Watchdog
 from repro.parallel import ParallelExecutionError
 from repro.resilience.checkpoint import run_checkpointed
-from repro.runtime.adversary import LockstepAdversary, SplitAdversary
 from repro.runtime.rng import derive_rng
-from repro.runtime.scheduler import (
-    CrashPlan,
-    RandomScheduler,
-    RecoveryPlan,
-    RoundRobinScheduler,
-)
+from repro.runtime.scheduler import CrashPlan, RecoveryPlan
+from repro.workloads import make_scheduler
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.obs.ledger import RunLedger
@@ -51,11 +46,12 @@ if TYPE_CHECKING:  # pragma: no cover
 #: its full step budget in a pool slot.
 DEFAULT_LIVELOCK_WINDOW = 50_000
 
+#: name → factory(seed).  Partials over :func:`repro.workloads.make_scheduler`
+#: so the grid pickles; the key order is the grid order, and with it the
+#: ledger order.
 DEFAULT_SCHEDULERS: dict[str, Callable[[int], Any]] = {
-    "random": lambda seed: RandomScheduler(seed=seed),
-    "round-robin": lambda seed: RoundRobinScheduler(),
-    "lockstep": lambda seed: LockstepAdversary("mem", seed=seed),
-    "split": lambda seed: SplitAdversary(pref_reader, seed=seed),
+    name: functools.partial(make_scheduler, name)
+    for name in ("random", "round-robin", "lockstep", "split")
 }
 
 
@@ -429,23 +425,24 @@ def fuzz_consensus(
     report = FuzzReport()
     specs = [(n, name) for n in n_values for name in schedulers]
 
-    def run_cell(spec: tuple[int, str]) -> _CellOutcome:
-        return _run_cell(
-            spec,
-            protocol_factory,
-            schedulers,
-            runs_per_cell,
-            crash_probability,
-            recovery_probability,
-            fault_probability,
-            fault_plan_factory,
-            fault_max_steps,
-            max_steps,
-            master_seed,
-            extra_check,
-            stop_on_first_failure,
-            livelock_window,
-        )
+    # A partial, not a closure: it pickles when its arguments do, as
+    # serve jobs' do (they run on a spawned worker pool).
+    run_cell: Callable[[tuple[int, str]], _CellOutcome] = functools.partial(
+        _run_cell,
+        protocol_factory=protocol_factory,
+        schedulers=schedulers,
+        runs_per_cell=runs_per_cell,
+        crash_probability=crash_probability,
+        recovery_probability=recovery_probability,
+        fault_probability=fault_probability,
+        fault_plan_factory=fault_plan_factory,
+        fault_max_steps=fault_max_steps,
+        max_steps=max_steps,
+        master_seed=master_seed,
+        extra_check=extra_check,
+        stop_on_first_failure=stop_on_first_failure,
+        livelock_window=livelock_window,
+    )
 
     if task_wrapper is not None:
         run_cell = task_wrapper(run_cell)

@@ -40,8 +40,13 @@ CODE_VERSION_ENV = "REPRO_CODE_VERSION"
 _FALLBACK_VERSION = "1.0.0"
 
 
+@lru_cache(maxsize=1)
 def package_version() -> str:
-    """The installed ``repro`` version, or the source-tree fallback."""
+    """The installed ``repro`` version, or the source-tree fallback.
+
+    Cached per process, like :func:`git_sha`: every ledger record's
+    provenance stamp and every fingerprint asks for it.
+    """
     try:
         from importlib.metadata import version
 

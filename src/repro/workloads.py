@@ -10,6 +10,7 @@ shapes:
 
 - :data:`PROTOCOLS` — the protocol menu every entry point exposes;
 - :func:`make_scheduler` — the named scheduler/adversary table;
+- :class:`SweepCell` — the canonical sweep's picklable per-cell function;
 - :func:`build_sweep` — the canonical protocol-vs-n sweep
   (``repro sweep`` and serve ``{"kind": "sweep"}`` jobs both call it, so
   a sweep submitted over HTTP writes ledger bytes identical to the same
@@ -24,7 +25,7 @@ thread without dragging the argparse layer along.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Any, Callable, Sequence
+from typing import TYPE_CHECKING, Any, Sequence
 
 from repro.consensus import (
     AdsConsensus,
@@ -105,9 +106,7 @@ def sweep_experiment(protocol: str, metric: str) -> str:
     return f"sweep:{protocol}:{metric}"
 
 
-def make_sweep_runner(
-    protocol: str, scheduler: str, metric: str, max_steps: int
-) -> Callable[[int, int], float]:
+class SweepCell:
     """The per-cell function of the canonical sweep: ``(n, seed) → value``.
 
     Each cell builds its own protocol instance and scheduler from its own
@@ -115,17 +114,24 @@ def make_sweep_runner(
     number — total steps or max rounds.  An unsafe run raises: a sweep
     must never average over violations.  Cells run bare (metrics, and with
     them the memory audit, off; no event or span recording): a sweep
-    records only the number, so nothing else would be read.
+    records only the number, so nothing else would be read.  Instances
+    pickle, so serve jobs can send them to a spawned worker pool.
     """
 
-    def run_once(n: int, seed: int) -> float:
-        instance = PROTOCOLS[protocol]()
+    def __init__(self, protocol: str, scheduler: str, metric: str, max_steps: int):
+        self.protocol = protocol
+        self.scheduler = scheduler
+        self.metric = metric
+        self.max_steps = max_steps
+
+    def __call__(self, n: int, seed: int) -> float:
+        instance = PROTOCOLS[self.protocol]()
         inputs = [(seed + i) % 2 for i in range(n)]
         run = instance.run(
             inputs,
-            scheduler=make_scheduler(scheduler, seed),
+            scheduler=make_scheduler(self.scheduler, seed),
             seed=seed,
-            max_steps=max_steps,
+            max_steps=self.max_steps,
             metrics=MetricsRegistry(enabled=False),
         )
         report = validate_run(run)
@@ -133,49 +139,54 @@ def make_sweep_runner(
             raise RuntimeError(
                 f"unsafe run (n={n}, seed={seed}): " + "; ".join(report.problems)
             )
-        return float(run.max_rounds() if metric == "rounds" else run.total_steps)
+        return float(run.max_rounds() if self.metric == "rounds" else run.total_steps)
 
-    if protocol == "ads" and scheduler == "random":
-        # Opt the canonical cell into the fused batch interpreter (see
-        # repro.batch): default ADS under the random scheduler is exactly
-        # the fast path, and the engine reproduces the serial RNG streams
-        # bit-for-bit.  Any lane the engine cannot interpret (n < 2, odd
-        # counter states, an exhausted budget) re-runs through run_once,
-        # reproducing the serial result or exception unchanged.
+
+class _FusedSweepCell(SweepCell):
+    """The canonical cell opted into the fused batch interpreter (see
+    :mod:`repro.batch`): default ADS under the random scheduler is
+    exactly the fast path, and the engine reproduces the serial RNG
+    streams bit-for-bit.  Any lane the engine cannot interpret (n < 2, odd
+    counter states, an exhausted budget) re-runs through the cell itself,
+    reproducing the serial result or exception unchanged."""
+
+    def batch_lane(self, task: tuple[int, int]) -> Any:
         from repro.batch import LaneSpec
 
-        def batch_lane(task):
-            n, seed = task
-            if n < 2:
-                return None
-            return LaneSpec(
-                inputs=tuple((seed + i) % 2 for i in range(n)),
-                seed=seed,
-                max_steps=max_steps,
-            )
+        n, seed = task
+        if n < 2:
+            return None
+        return LaneSpec(
+            inputs=tuple((seed + i) % 2 for i in range(n)),
+            seed=seed,
+            max_steps=self.max_steps,
+        )
 
-        def batch_value(task, lane):
-            n, seed = task
-            decided = set(lane.decisions.values())
-            # validate_run's four checks on a crash-free run: agreement,
-            # validity/domain (decisions drawn from the inputs), and
-            # completion (every process decided).  Any violation falls
-            # back to run_once, which raises the serial "unsafe run"
-            # error with the full report.
-            if (
-                len(decided) > 1
-                or not decided <= set(lane.spec.inputs)
-                or len(lane.decisions) != n
-            ):
-                return None
-            return float(
-                lane.max_rounds() if metric == "rounds" else lane.total_steps
-            )
+    def batch_value(self, task: tuple[int, int], lane: Any) -> float | None:
+        n, seed = task
+        decided = set(lane.decisions.values())
+        # validate_run's four checks on a crash-free run: agreement,
+        # validity/domain (decisions drawn from the inputs), and
+        # completion (every process decided).  Any violation falls back
+        # to the cell itself, which raises the serial "unsafe run" error
+        # with the full report.
+        if (
+            len(decided) > 1
+            or not decided <= set(lane.spec.inputs)
+            or len(lane.decisions) != n
+        ):
+            return None
+        return float(lane.max_rounds() if self.metric == "rounds" else lane.total_steps)
 
-        run_once.batch_lane = batch_lane
-        run_once.batch_value = batch_value
 
-    return run_once
+def make_sweep_runner(
+    protocol: str, scheduler: str, metric: str, max_steps: int
+) -> SweepCell:
+    """The per-cell function of the canonical sweep (see :class:`SweepCell`),
+    carrying the fused-lane hooks for ADS under the random scheduler."""
+    fused = protocol == "ads" and scheduler == "random"
+    cell = _FusedSweepCell if fused else SweepCell
+    return cell(protocol, scheduler, metric, max_steps)
 
 
 def build_sweep(

@@ -203,3 +203,90 @@ def test_make_record_accepts_metrics_snapshot():
     )
     assert record.metrics is not None
     assert record.metrics["counters"]["runtime.steps"] == 42
+
+
+# -- refresh(): a long-lived handle indexes only what was appended since --
+
+
+def _assert_in_sync(ledger, path):
+    """The handle's index equals a fresh read, and it serves the same
+    cache answers as a fresh handle."""
+    assert ledger.records() == read_records(path)
+    fresh = RunLedger(path)
+    for record in read_records(path):
+        mine = ledger.cached(record.fingerprint)
+        theirs = fresh.cached(record.fingerprint)
+        assert (mine is None) == (theirs is None)
+        assert mine is None or mine.identity() == theirs.identity()
+
+
+def test_refresh_indexes_interleaved_own_and_foreign_appends(tmp_path):
+    path = tmp_path / "runs.jsonl"
+    mine, other = RunLedger(path), RunLedger(path)
+    mine.refresh()
+    assert mine.records() == []
+    mine.append(_record(seed=1))
+    other.append(_record(seed=2))  # lands between this handle's appends
+    mine.append(_record(seed=3))
+    mine.refresh()
+    assert [r.seed for r in mine.records()] == [1, 2, 3]
+    _assert_in_sync(mine, path)
+    mine.append(_record(seed=4))
+    mine.refresh()  # only its own line is new: indexed once
+    assert [r.seed for r in mine.records()] == [1, 2, 3, 4]
+    _assert_in_sync(mine, path)
+    # Another handle re-files a record this one holds: both lines count.
+    other.append(_record(seed=4))
+    mine.refresh()
+    assert [r.seed for r in mine.records()] == [1, 2, 3, 4, 4]
+    _assert_in_sync(mine, path)
+
+
+def test_refresh_leaves_a_torn_tail_until_it_is_complete(tmp_path):
+    path = tmp_path / "runs.jsonl"
+    ledger = RunLedger(path)
+    ledger.append(_record(seed=0))
+    line = _record(seed=1).to_line() + "\n"
+    with open(path, "a") as handle:
+        handle.write(line[:25])  # a writer mid-append
+    ledger.refresh()
+    assert [r.seed for r in ledger.records()] == [0]
+    _assert_in_sync(ledger, path)
+    with open(path, "a") as handle:
+        handle.write(line[25:])
+    ledger.refresh()
+    assert [r.seed for r in ledger.records()] == [0, 1]
+    _assert_in_sync(ledger, path)
+
+
+def test_refresh_reloads_after_a_gc_rewrite(tmp_path):
+    path = tmp_path / "runs.jsonl"
+    ledger = RunLedger(path)
+    ledger.append(_record(seed=0))
+    ledger.append(_record(seed=1))
+    with open(path, "a") as handle:
+        handle.write(_record(seed=0).to_line() + "\n")  # exact duplicate
+    ledger.refresh()
+    assert len(ledger) == 3
+    assert RunLedger(path).gc() == (2, 1)  # another handle rewrites in place
+    ledger.refresh()
+    _assert_in_sync(ledger, path)
+    ledger.append(_record(seed=2))
+    with open(path, "a") as handle:
+        handle.write(_record(seed=3).to_line() + "\n")
+    ledger.refresh()
+    assert [r.seed for r in ledger.records()] == [0, 1, 2, 3]
+    _assert_in_sync(ledger, path)
+
+
+def test_refresh_names_the_absolute_line_of_a_corrupt_append(tmp_path):
+    path = tmp_path / "runs.jsonl"
+    ledger = RunLedger(path)
+    for seed in range(3):
+        ledger.append(_record(seed=seed))
+    ledger.refresh()
+    with open(path, "a") as handle:
+        handle.write(_record(seed=3).to_line() + "\nnot json\n")
+    with pytest.raises(LedgerCorruption, match=r"runs\.jsonl:5: unparsable"):
+        ledger.refresh()
+    assert [r.seed for r in ledger.records()] == [0, 1, 2]  # left as it was

@@ -8,6 +8,8 @@ from pathlib import Path
 
 import pytest
 
+from repro.obs.ledger import RunLedger, make_record
+from repro.parallel import available_workers
 from repro.serve import ServeClient, ServeError, build_server
 
 SRC = Path(__file__).resolve().parents[2] / "src"
@@ -22,8 +24,11 @@ def _pinned_code_version(monkeypatch):
 
 
 @pytest.fixture
-def server(tmp_path):
-    srv = build_server(port=0, state_dir=str(tmp_path / "state"), workers=1)
+def server(tmp_path, request):
+    """An in-process server; ``indirect`` parametrization sets its workers
+    (2 runs every job on the server's lifetime worker pool)."""
+    workers = getattr(request, "param", 1)
+    srv = build_server(port=0, state_dir=str(tmp_path / "state"), workers=workers)
     srv.start()
     thread = threading.Thread(target=srv.serve_forever, daemon=True)
     thread.start()
@@ -68,6 +73,7 @@ def test_equivalent_specs_share_one_job_id(server, client):
     assert second["id"] == first["id"]
 
 
+@pytest.mark.parametrize("server", [1, 2], indirect=True)
 def test_server_ledger_matches_cli_ledger_bytes(server, client, tmp_path):
     """The tentpole invariant: HTTP and CLI write identical ledger bytes."""
     job = client.submit("sweep", SWEEP_PARAMS)
@@ -142,6 +148,79 @@ def test_health_and_metrics_shapes(server, client):
     assert metrics["queue"]["by_state"]["DONE"] == 1
     assert metrics["admission"]["admitted"] == 1
     assert metrics["engine"]["counters"]["serve.jobs{state=done}"] == 1
+
+
+def test_health_reports_the_resolved_worker_count(tmp_path):
+    srv = build_server(port=0, state_dir=str(tmp_path / "state"), workers=0)
+    srv.start()
+    thread = threading.Thread(target=srv.serve_forever, daemon=True)
+    thread.start()
+    try:
+        assert ServeClient(srv.url).health()["workers"] == available_workers()
+    finally:
+        srv.stop()
+        thread.join(timeout=5)
+    assert not thread.is_alive()
+
+
+@pytest.mark.parametrize("server", [2], indirect=True)
+def test_each_job_counts_only_its_own_cache_hits(server, client):
+    """One ledger handle serves every job: a later job still sees cells a
+    concurrent CLI run appended meanwhile, and reports only its own hits."""
+    first = client.submit("sweep", SWEEP_PARAMS)
+    assert client.wait(first["id"], timeout=60)["state"] == "DONE"
+    assert client.result(first["id"])["recomputed"] == 6
+    # Another writer files seed 3 for both n, as `repro sweep` would.
+    config = {
+        "experiment": "sweep:ads:steps",
+        "protocol": "ads",
+        "scheduler": "random",
+        "metric": "steps",
+        "max_steps": SWEEP_PARAMS["max_steps"],
+    }
+    other = RunLedger(server.config.resolved_ledger())
+    for n in (2, 3):
+        other.append(
+            make_record(
+                "sweep", "sweep:ads:steps", 3, {**config, "n": n}, {"value": 7.0}
+            )
+        )
+    second = client.submit("sweep", {**SWEEP_PARAMS, "seed_base": 1})
+    assert client.wait(second["id"], timeout=60)["state"] == "DONE"
+    result = client.result(second["id"])
+    # Seeds 1-2 from the first job, seed 3 from the other writer.
+    assert (result["cache_hits"], result["recomputed"]) == (6, 0)
+
+
+def test_stop_mid_job_stops_the_pool_and_leaves_the_job_for_requeue(tmp_path):
+    """When stop() returns no pool worker is alive, and the job it cut
+    short is neither DONE nor FAILED: the next boot requeues it."""
+    import multiprocessing
+    import time
+
+    srv = build_server(port=0, state_dir=str(tmp_path / "state"), workers=2)
+    srv.start()
+    serving = threading.Thread(target=srv.serve_forever, daemon=True)
+    serving.start()
+    job_id = srv.submit(
+        {"kind": "sweep", "params": {"n_values": [5, 6], "reps": 12}}
+    )[1]["id"]
+    deadline = time.monotonic() + 60
+    while not (srv.queue.get(job_id).progress or {}).get("done"):
+        assert time.monotonic() < deadline, "the job never made progress"
+        time.sleep(0.01)
+    workers = multiprocessing.active_children()
+    assert workers
+    stopping = threading.Thread(target=srv.stop)
+    stopping.start()
+    stopping.join(timeout=30)
+    assert not stopping.is_alive()
+    assert not any(worker.is_alive() for worker in workers)
+    serving.join(timeout=5)
+    assert not serving.is_alive()
+    srv.dispatcher.join(timeout=30)
+    assert not srv.dispatcher.is_alive()
+    assert srv.queue.get(job_id).state == "RUNNING"
 
 
 def test_queue_full_answers_429(tmp_path):
@@ -229,6 +308,7 @@ def test_jobs_listing_shows_submission_order(server, client):
     client.wait(b["id"], timeout=60)
 
 
+@pytest.mark.parametrize("server", [1, 2], indirect=True)
 def test_fuzz_and_campaign_and_chaos_kinds_run_to_done(server, client):
     fuzz = client.submit(
         "fuzz", {"n_values": [2], "runs_per_cell": 2}

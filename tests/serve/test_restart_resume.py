@@ -35,7 +35,7 @@ def _env():
     }
 
 
-def _boot_server(state_dir: Path) -> tuple[subprocess.Popen, str]:
+def _boot_server(state_dir: Path, workers: int) -> tuple[subprocess.Popen, str]:
     proc = subprocess.Popen(
         [
             sys.executable,
@@ -44,6 +44,8 @@ def _boot_server(state_dir: Path) -> tuple[subprocess.Popen, str]:
             "serve",
             "--port",
             "0",
+            "--workers",
+            str(workers),
             "--state-dir",
             str(state_dir),
         ],
@@ -76,8 +78,50 @@ def _wait_for_ledger_lines(path: Path, minimum: int, timeout: float) -> int:
     raise AssertionError(f"ledger never reached {minimum} lines: {path}")
 
 
+def _children(pid: int) -> list[int]:
+    """The pids whose parent is ``pid``, read from /proc."""
+    children = []
+    for entry in Path("/proc").iterdir():
+        if not entry.name.isdigit():
+            continue
+        try:
+            stat = (entry / "stat").read_text()
+        except (FileNotFoundError, ProcessLookupError):
+            continue
+        if int(stat.rsplit(")", 1)[1].split()[1]) == pid:
+            children.append(int(entry.name))
+    return children
+
+
+def _assert_gone(pids: list[int], timeout: float = 10.0) -> None:
+    """Every pid exits within ``timeout`` (a zombie awaiting its reaper
+    has exited)."""
+    deadline = time.monotonic() + timeout
+    for pid in pids:
+        while True:
+            try:
+                stat = Path(f"/proc/{pid}/stat").read_text()
+            except (FileNotFoundError, ProcessLookupError):
+                break
+            if stat.rsplit(")", 1)[1].split()[0] == "Z":
+                break
+            assert time.monotonic() < deadline, f"server child {pid} outlived it"
+            time.sleep(0.05)
+
+
+def _sigterm(proc: subprocess.Popen) -> None:
+    """SIGTERM the server, then check that none of its children (engine
+    workers included) outlives it by more than 10 s."""
+    children = _children(proc.pid)
+    os.kill(proc.pid, signal.SIGTERM)
+    proc.wait(timeout=10)
+    _assert_gone(children)
+
+
 @pytest.mark.slow
-def test_sigterm_midjob_then_restart_resumes_from_prefix(tmp_path):
+@pytest.mark.skipif(not Path("/proc/self/stat").exists(), reason="needs /proc")
+@pytest.mark.parametrize("workers", [1, 2])
+def test_sigterm_midjob_then_restart_resumes_from_prefix(tmp_path, workers):
     state_dir = tmp_path / "state"
     ledger = state_dir / "ledger.jsonl"
 
@@ -103,17 +147,18 @@ def test_sigterm_midjob_then_restart_resumes_from_prefix(tmp_path):
     assert len(reference.read_bytes().splitlines()) == TOTAL_CELLS
 
     # Phase 1: submit, let a few cells checkpoint, SIGTERM mid-job.
-    proc, url = _boot_server(state_dir)
+    proc, url = _boot_server(state_dir, workers)
     try:
         client = ServeClient(url)
         job = client.submit("sweep", PARAMS)
         job_id = job["id"]
         _wait_for_ledger_lines(ledger, minimum=2, timeout=30)
-        os.kill(proc.pid, signal.SIGTERM)
-        proc.wait(timeout=10)
+        _sigterm(proc)
     finally:
         if proc.poll() is None:
             proc.kill()
+            proc.wait(timeout=10)
+        proc.stdout.close()
     prefix = len(ledger.read_bytes().splitlines())
     assert 0 < prefix < TOTAL_CELLS, (
         f"SIGTERM was meant to land mid-job, ledger has {prefix} lines"
@@ -128,7 +173,7 @@ def test_sigterm_midjob_then_restart_resumes_from_prefix(tmp_path):
     )
 
     # Phase 2: restart on the same state dir; the job requeues itself.
-    proc, url = _boot_server(state_dir)
+    proc, url = _boot_server(state_dir, workers)
     try:
         client = ServeClient(url)
         final = client.wait(job_id, timeout=120, poll=0.2)
@@ -137,12 +182,12 @@ def test_sigterm_midjob_then_restart_resumes_from_prefix(tmp_path):
         # Only the missing fingerprints were recomputed.
         assert result["cache_hits"] >= prefix - 1  # -1: possible torn tail
         assert result["cache_hits"] + result["recomputed"] == TOTAL_CELLS
+        _sigterm(proc)
     finally:
-        os.kill(proc.pid, signal.SIGTERM)
-        try:
-            proc.wait(timeout=10)
-        except subprocess.TimeoutExpired:
+        if proc.poll() is None:
             proc.kill()
+            proc.wait(timeout=10)
+        proc.stdout.close()
 
     # The resumed ledger is byte-identical to the undisturbed CLI run.
     assert ledger.read_bytes() == reference.read_bytes()

@@ -37,3 +37,22 @@ def test_provenance_payload_shape():
     assert set(payload) == {"package", "git_sha", "ledger_schema", "code_version"}
     assert payload["ledger_schema"] == LEDGER_SCHEMA
     assert payload["code_version"] == code_version()
+
+
+def test_package_version_is_looked_up_once_per_process(monkeypatch):
+    import importlib.metadata
+
+    lookups = []
+
+    def counting_version(name):
+        lookups.append(name)
+        return "9.9.9"
+
+    monkeypatch.setattr(importlib.metadata, "version", counting_version)
+    package_version.cache_clear()
+    try:
+        first, second = provenance(), provenance()
+    finally:
+        package_version.cache_clear()
+    assert first["package"] == second["package"] == "9.9.9"
+    assert lookups == ["repro"]
