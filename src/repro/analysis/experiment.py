@@ -91,10 +91,10 @@ def repeat_runs(
     order.  ``policy``/``task_timeout`` flow to the engine (a replication
     that is terminally lost raises — silently dropping samples would skew
     the statistics).  ``batch_size`` (default: the ``REPRO_BATCH``
-    environment variable) is the engine's dispatch unit, and routes seeds
-    through the fused interpreter when ``run_once`` carries
-    ``batch_lane``/``batch_value`` hooks (see :mod:`repro.batch`) — with
-    results bit-identical either way.
+    environment variable) sets how many seeds the engine dispatches per
+    unit.  When ``run_once`` carries ``batch_lane``/``batch_value`` hooks
+    (see :mod:`repro.batch`), seeds always run as fused lanes; results
+    are bit-identical at any batch size.
     """
     seeds = list(seeds)
     base = {"experiment": experiment, **dict(config or {})}
@@ -179,11 +179,11 @@ class Sweep:
     #: records its dispatch shape and resilience counters into.
     metrics: Any = None
     #: Cells per dispatched unit (``None`` → the ``REPRO_BATCH``
-    #: environment variable, unset meaning unbatched).  Cells whose
-    #: ``run_once`` carries ``batch_lane``/``batch_value`` hooks go
-    #: through the fused struct-of-arrays interpreter; everything else
-    #: runs through ``run_once``.  Results and ledger bytes are identical
-    #: at any batch size.
+    #: environment variable, unset letting the engine work the unit size
+    #: out).  Cells whose ``run_once`` carries ``batch_lane``/
+    #: ``batch_value`` hooks always go through the fused struct-of-arrays
+    #: interpreter; everything else runs through ``run_once``.  Results
+    #: and ledger bytes are identical at any batch size.
     batch_size: int | None = None
 
     def execute(

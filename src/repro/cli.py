@@ -161,18 +161,19 @@ def _workers_arg(text: str) -> int:
 def _batch_arg(text: str) -> int:
     """argparse type for ``--batch``: same actionable style as --workers.
 
-    Unlike workers there is no 0-means-auto: a batch is a lane count, so
-    only positive integers parse (omit the flag to disable batching).
+    Unlike workers there is no 0-means-auto: a batch is a count of cells
+    per dispatched unit (of lanes, for ``repro profile``), so only
+    positive integers parse; omit the flag for the default.
     """
     try:
         value = int(text)
     except ValueError:
         raise argparse.ArgumentTypeError(
-            f"{text!r} is not an integer (lanes per batch; omit to disable)"
+            f"{text!r} is not an integer (a positive count; omit for the default)"
         ) from None
     if value < 1:
         raise argparse.ArgumentTypeError(
-            f"must be >= 1 (lanes per batch; omit to disable), got {value}"
+            f"must be >= 1 (a positive count; omit for the default), got {value}"
         )
     return value
 
@@ -1404,9 +1405,10 @@ def build_parser() -> argparse.ArgumentParser:
         type=_batch_arg,
         default=None,
         metavar="N",
-        help="simulation lanes per batch through the fused "
-        "struct-of-arrays step loop (default REPRO_BATCH; results and "
-        "ledger bytes identical at any batch size)",
+        help="cells dispatched per unit (default REPRO_BATCH, else "
+        "worked out); ADS cells under the random scheduler always run as "
+        "fused struct-of-arrays lanes, and results and ledger bytes are "
+        "identical at any batch size",
     )
     sweep.add_argument(
         "--progress", action="store_true", help="tick run completion on stderr"

@@ -20,10 +20,11 @@ worked out, not set: ``batch_size`` tasks when a batch size is given
 (argument, else ``REPRO_BATCH``); one task when the call needs per-task
 isolation (any policy other than plain fail-fast, a deadline, or
 admission control); otherwise ``ceil(len(tasks) / (4 * workers))`` tasks,
-which amortises IPC while keeping the pool load-balanced.  With a batch
-size, a task function carrying ``batch_lane``/``batch_value`` hooks runs
-each unit's eligible tasks through the fused interpreter
-(:func:`repro.batch.engine.run_lanes`) first and the rest through itself.
+which amortises IPC while keeping the pool load-balanced.  A task
+function carrying ``batch_lane``/``batch_value`` hooks runs each unit's
+eligible tasks through the fused interpreter
+(:func:`repro.batch.engine.run_lanes`) first and the rest through
+itself, whatever the unit size: the batch size sets only the unit.
 
 With ``workers >= 2`` one supervised pool runs the units.  Given an
 integer it forks up to ``workers`` daemon processes that live for the
@@ -195,9 +196,11 @@ def resolve_workers(workers: int | None) -> int:
 def resolve_batch_size(batch_size: int | None = None) -> int | None:
     """Validate a batch size, falling back to :data:`BATCH_ENV`.
 
-    Unlike ``workers`` there is no "0 = auto" convention: a batch is a
-    lane count, so only positive integers make sense.  ``None`` (and an
-    unset/empty environment variable) means batching is off.
+    A batch size is the number of tasks per dispatched unit.  Unlike
+    ``workers`` there is no "0 = auto" convention, so only positive
+    integers make sense.  ``None`` (and an unset/empty environment
+    variable) lets the engine work the unit size out; fused lanes run
+    either way.
     """
     if batch_size is None:
         raw = os.environ.get(BATCH_ENV, "").strip()
@@ -208,12 +211,12 @@ def resolve_batch_size(batch_size: int | None = None) -> int | None:
         except ValueError:
             raise ValueError(
                 f"{BATCH_ENV}={raw!r} is not an integer; set it to a "
-                "positive lane count (unset it to disable batching)"
+                "positive task count per unit (unset it for the default)"
             ) from None
         if value < 1:
             raise ValueError(
-                f"{BATCH_ENV}={raw!r} must be >= 1 (lanes per batch); "
-                "unset it to disable batching"
+                f"{BATCH_ENV}={raw!r} must be >= 1 (tasks per unit); "
+                "unset it for the default"
             )
         return value
     if isinstance(batch_size, bool) or not isinstance(batch_size, int):
@@ -256,19 +259,17 @@ def _task_error(index: int, task: Any, exc: BaseException) -> TaskError:
     )
 
 
-def _unit_runner(
-    fn: Callable[[Any], Any], fused: bool, catch: type[BaseException]
-) -> _RunUnit:
+def _unit_runner(fn: Callable[[Any], Any], catch: type[BaseException]) -> _RunUnit:
     """The function that runs one unit of ``(index, task)`` pairs.
 
-    With ``fused`` set and ``fn`` carrying ``batch_lane``/``batch_value``
-    hooks, the unit's eligible tasks run as lanes of one
+    When ``fn`` carries ``batch_lane``/``batch_value`` hooks, the unit's
+    eligible tasks run as lanes of one
     :func:`~repro.batch.engine.run_lanes` call first; a task whose hook
     returns ``None`` or whose lane falls back runs through ``fn``, which
     reproduces the serial result or exception exactly.  Exceptions of
     class ``catch`` become ``"err"`` outcomes of the task that raised.
     """
-    lane_of = getattr(fn, "batch_lane", None) if fused else None
+    lane_of = getattr(fn, "batch_lane", None)
     value_of = getattr(fn, "batch_value", None)
     if value_of is None:
         lane_of = None
@@ -444,8 +445,8 @@ def _worker(
 
     A forked worker gets ``run_unit`` and its first unit as fork
     arguments.  A spawned :class:`WorkerPool` worker starts with neither:
-    every call first sends it a ``(pickled fn, fused)`` pair, which it
-    acknowledges with ``None`` once loaded, then units.  ``None`` from the
+    every call first sends it the pickled task function (``bytes``), which
+    it acknowledges with ``None`` once loaded, then units.  ``None`` from the
     parent means exit.  A worker that dies outright sends nothing and the
     parent reads EOF instead.
     """
@@ -465,8 +466,8 @@ def _worker(
                 return  # the parent is gone
             if message is None:
                 return
-            if isinstance(message, tuple):
-                run_unit = _load_call(*message)
+            if isinstance(message, bytes):
+                run_unit = _load_call(message)
                 try:
                     conn.send(None)
                 except OSError:
@@ -486,14 +487,14 @@ def _worker(
         unit = None
 
 
-def _load_call(blob: bytes, fused: bool) -> _RunUnit:
+def _load_call(blob: bytes) -> _RunUnit:
     """A pool worker's unit runner for one call.  A task function that
     does not load in the worker fails every task with the load error."""
     try:
         fn = pickle.loads(blob)
     except Exception as exc:  # noqa: BLE001 - reported by every task instead
         fn = functools.partial(_unloadable, f"{type(exc).__name__}: {exc}")
-    return _unit_runner(fn, fused, BaseException)
+    return _unit_runner(fn, BaseException)
 
 
 def _unloadable(error: str, task: Any) -> Any:
@@ -613,7 +614,7 @@ class WorkerPool:
     def __exit__(self, *exc_info: Any) -> None:
         self.close()
 
-    def _lease(self, fn: Callable[[Any], Any], fused: bool) -> "_Lease":
+    def _lease(self, fn: Callable[[Any], Any]) -> "_Lease":
         try:
             blob = pickle.dumps(fn)
         except Exception as exc:  # noqa: BLE001 - pickling raises many types
@@ -621,7 +622,7 @@ class WorkerPool:
                 f"task function {fn!r} does not pickle, so it cannot run on "
                 f"a WorkerPool: {type(exc).__name__}: {exc}"
             ) from exc
-        return _Lease(self, (blob, fused))
+        return _Lease(self, blob)
 
     def _take(self) -> tuple[connection.Connection, Any]:
         """An idle live worker, else a freshly spawned one."""
@@ -665,15 +666,15 @@ class _Lease:
     #: first unit's deadline starts then, so start-up is not charged.
     acknowledges = True
 
-    def __init__(self, pool: WorkerPool, header: tuple[bytes, bool]):
+    def __init__(self, pool: WorkerPool, blob: bytes):
         self._pool = pool
-        self._header = header
+        self._blob = blob
 
     def start(self, unit: _Unit) -> tuple[connection.Connection, Any]:
         while True:
             conn, process = self._pool._take()
             try:
-                conn.send(self._header)
+                conn.send(self._blob)
                 conn.send(unit)
             except OSError:
                 # Died while idle, after the liveness check: replaced,
@@ -903,9 +904,8 @@ def run_tasks_partial(
     if policy is None:
         policy = FailurePolicy.fail_fast()
     batch_size = resolve_batch_size(batch_size)
-    fused = batch_size is not None
     if isinstance(workers, WorkerPool):
-        lease: _Lease | None = workers._lease(fn, fused)
+        lease: _Lease | None = workers._lease(fn)
         count = workers.size
     else:
         lease = None
@@ -931,14 +931,15 @@ def run_tasks_partial(
         and (lease is not None or _fork_available())
     )
     collector = _Collector(len(tasks), policy, progress, on_result, admission)
-    run_unit = _unit_runner(fn, fused, BaseException if pooled else Exception)
+    run_unit = _unit_runner(fn, BaseException if pooled else Exception)
     if pooled:
         count = min(count, units)
         chunks = _run_pool(
             lease or _Forked(run_unit), tasks, size, count, task_timeout, collector
         )
     else:
-        # In-process there is no dispatch to amortise: only lanes group.
+        # In-process there is no dispatch to amortise: one task per unit
+        # unless a batch size groups the lanes of one run_lanes call.
         _run_in_process(run_unit, tasks, batch_size or 1, collector)
         chunks, count = 1, 1
     partial = collector.partial
@@ -976,9 +977,10 @@ def run_tasks(
         batch_size: tasks per dispatched unit; see
             :func:`resolve_batch_size`.  ``None`` (and ``REPRO_BATCH``
             unset) works the unit size out: one task when the call needs
-            isolation, else ``ceil(len(tasks) / (4 * workers))``.  With a
-            batch size, ``fn``'s ``batch_lane``/``batch_value`` hooks (if
-            any) route each unit through the fused interpreter.
+            isolation, else ``ceil(len(tasks) / (4 * workers))``.  Either
+            way ``fn``'s ``batch_lane``/``batch_value`` hooks (if any)
+            route each unit's eligible tasks through the fused
+            interpreter.
         progress: ``progress(done, total)`` invoked in the *parent* as
             units complete (in-process: after every unit).
         metrics: optional :class:`~repro.obs.metrics.MetricsRegistry`; the

@@ -146,9 +146,11 @@ class _FusedSweepCell(SweepCell):
     """The canonical cell opted into the fused batch interpreter (see
     :mod:`repro.batch`): default ADS under the random scheduler is
     exactly the fast path, and the engine reproduces the serial RNG
-    streams bit-for-bit.  Any lane the engine cannot interpret (n < 2, odd
-    counter states, an exhausted budget) re-runs through the cell itself,
-    reproducing the serial result or exception unchanged."""
+    streams bit-for-bit.  The parallel engine runs these cells as fused
+    lanes at every batch size (``--batch N`` only sets how many cells
+    are dispatched per unit).  Any lane the engine cannot interpret
+    (n < 2, odd counter states, an exhausted budget) re-runs through the
+    cell itself, reproducing the serial result or exception unchanged."""
 
     def batch_lane(self, task: tuple[int, int]) -> Any:
         from repro.batch import LaneSpec

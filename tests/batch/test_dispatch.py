@@ -1,24 +1,29 @@
 """Batch-size dispatch: validation, units, and entry-point identity.
 
-Batching is a pure execution-strategy knob — these tests pin that it is
-*observably absent* from every result: sweep ledger bytes, fuzz reports
-and repeat_runs values are byte/value-identical at any batch size, task
-indices survive the unit boundaries, and the ``batch_size``/
+The batch size is a pure execution-strategy knob — these tests pin that
+it is *observably absent* from every result: sweep ledger bytes, fuzz
+reports and repeat_runs values are byte/value-identical at any batch
+size, task indices survive the unit boundaries, and the ``batch_size``/
 ``REPRO_BATCH`` knobs reject nonsense with messages that name the knob.
+Sweep cells run as fused lanes at every batch size, so their reference
+is the same sweep run by the hook-less :class:`SweepCell`, which takes
+the generator runtime.
 """
 
 import dataclasses
+import os
 
 import pytest
 
 from repro.analysis.experiment import repeat_runs
+from repro.batch import engine as batch_engine
 from repro.consensus import AdsConsensus
 from repro.obs.ledger import RunLedger
 from repro.parallel import resolve_batch_size, run_tasks, run_tasks_partial
 from repro.parallel.engine import BATCH_ENV
 from repro.runtime import RandomScheduler
 from repro.verify.fuzz import fuzz_consensus
-from repro.workloads import build_sweep
+from repro.workloads import SWEEP_METRICS, SweepCell, build_sweep
 
 
 # ---------------------------------------------------------------------------
@@ -156,40 +161,105 @@ def test_progress_counts_flat_tasks():
 # Entry-point identity: batching must be invisible in the results
 # ---------------------------------------------------------------------------
 
+#: n = 1 cells are refused by the fused-lane hook and run through the cell.
+N_VALUES = (1, 2, 3, 5)
+REPS = 3
 
-def _sweep_points(tmp_path, tag, batch_size, workers=0):
-    ledger = RunLedger(tmp_path / f"{tag}.jsonl")
-    sweep = build_sweep(
-        n_values=(2, 3), reps=4, ledger=ledger, batch_size=batch_size
+
+def _sweep(tmp_path, tag, metric, batch_size=None):
+    return build_sweep(
+        n_values=N_VALUES,
+        reps=REPS,
+        metric=metric,
+        ledger=RunLedger(tmp_path / f"{tag}.jsonl"),
+        batch_size=batch_size,
     )
+
+
+def _run(sweep, workers):
     points = sweep.execute(workers=workers)
-    return points, (tmp_path / f"{tag}.jsonl").read_bytes()
+    return points, sweep.ledger.path.read_bytes()
 
 
-@pytest.mark.parametrize("batch_size", [1, 4, 16])
-def test_sweep_ledger_bytes_identical_at_any_batch_size(tmp_path, batch_size):
-    serial_points, serial_bytes = _sweep_points(tmp_path, "serial", None)
-    batched_points, batched_bytes = _sweep_points(
-        tmp_path, f"batched{batch_size}", batch_size
-    )
-    assert batched_points == serial_points
-    assert batched_bytes == serial_bytes
+@pytest.fixture(scope="module")
+def generator_reference(tmp_path_factory):
+    """Per metric, the canonical sweep's points and ledger bytes with its
+    cells run by the plain :class:`SweepCell`: it has no fused-lane hooks,
+    so every cell runs through the generator runtime."""
+    tmp_path = tmp_path_factory.mktemp("generator")
+    reference = {}
+    for metric in SWEEP_METRICS:
+        sweep = _sweep(tmp_path, metric, metric)
+        cell = sweep.run_once
+        plain = SweepCell(cell.protocol, cell.scheduler, cell.metric, cell.max_steps)
+        assert not hasattr(plain, "batch_lane")
+        reference[metric] = _run(dataclasses.replace(sweep, run_once=plain), 1)
+    return reference
 
 
-def test_sweep_batching_composes_with_workers(tmp_path):
-    serial_points, serial_bytes = _sweep_points(tmp_path, "serial", None)
-    batched_points, batched_bytes = _sweep_points(
-        tmp_path, "batched-pool", 4, workers=2
-    )
-    assert batched_points == serial_points
-    assert batched_bytes == serial_bytes
+@pytest.mark.parametrize("batch_size", [None, 1, 4, 16])
+def test_sweep_ledger_bytes_identical_at_any_batch_size(
+    tmp_path, generator_reference, batch_size
+):
+    for metric in SWEEP_METRICS:
+        for workers in (0, 1):
+            tag = f"{metric}-{batch_size}-{workers}"
+            run = _run(_sweep(tmp_path, tag, metric, batch_size), workers)
+            assert run == generator_reference[metric], tag
 
 
-def test_sweep_reads_env_knob(tmp_path, monkeypatch):
-    serial_points, _ = _sweep_points(tmp_path, "serial", None)
+def test_sweep_batching_composes_with_workers(tmp_path, generator_reference):
+    for metric in SWEEP_METRICS:
+        for batch_size in (None, 1, 4, 16):
+            tag = f"{metric}-{batch_size}"
+            run = _run(_sweep(tmp_path, tag, metric, batch_size), workers=2)
+            assert run == generator_reference[metric], tag
+
+
+def test_sweep_reads_env_knob(tmp_path, monkeypatch, generator_reference):
     monkeypatch.setenv(BATCH_ENV, "4")
-    env_points, _ = _sweep_points(tmp_path, "env", None)
-    assert env_points == serial_points
+    run = _run(_sweep(tmp_path, "env", "steps"), workers=1)
+    assert run == generator_reference["steps"]
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_hooked_cells_run_as_lanes_without_a_batch_size(
+    tmp_path, monkeypatch, workers
+):
+    # Spies log to files, so calls made in forked pool workers count too.
+    lanes_log, cells_log = tmp_path / "lanes.log", tmp_path / "cells.log"
+    run_lanes, run_cell = batch_engine.run_lanes, SweepCell.__call__
+
+    def log(path, n, seed):
+        with path.open("a") as out:
+            out.write(f"{n} {seed} {os.getpid()}\n")
+
+    def spy_lanes(specs, *args, **kwargs):
+        for spec in specs:
+            log(lanes_log, spec.n, spec.seed)
+        return run_lanes(specs, *args, **kwargs)
+
+    def spy_cell(self, n, seed):
+        log(cells_log, n, seed)
+        return run_cell(self, n, seed)
+
+    monkeypatch.delenv(BATCH_ENV, raising=False)
+    monkeypatch.setattr(batch_engine, "run_lanes", spy_lanes)
+    monkeypatch.setattr(SweepCell, "__call__", spy_cell)
+    build_sweep(n_values=(1, 2, 3), reps=4).execute(workers=workers)
+
+    def calls(path):
+        """The logged ``(n, seed)`` pairs, sorted, and the pids that ran them."""
+        lines = path.read_text().splitlines()
+        rows = [tuple(map(int, line.split())) for line in lines]
+        return sorted(row[:2] for row in rows), {row[2] for row in rows}
+
+    lanes, lane_pids = calls(lanes_log)
+    cells, _ = calls(cells_log)
+    assert lanes == [(n, seed) for n in (2, 3) for seed in range(4)]
+    assert cells == [(1, seed) for seed in range(4)]
+    # In-process every lane runs here; at workers=2 none does.
+    assert (lane_pids == {os.getpid()}) == (workers == 1)
 
 
 def test_repeat_runs_identical_when_batched():

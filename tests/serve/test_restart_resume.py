@@ -20,9 +20,10 @@ from repro.serve import ServeClient
 
 SRC = Path(__file__).resolve().parents[2] / "src"
 
-#: ~24 cells at 40–90 ms each: slow enough that SIGTERM lands mid-job,
-#: fast enough to keep the test under a few seconds per phase.
-PARAMS = {"n_values": [5, 6], "reps": 12, "max_steps": 50_000_000}
+#: 128 cells at about 10 ms each, so the job runs for one to two seconds:
+#: slow enough that SIGTERM lands mid-job, fast enough to keep the test
+#: under a few seconds per phase.
+PARAMS = {"n_values": [6, 8], "reps": 64, "max_steps": 50_000_000}
 TOTAL_CELLS = len(PARAMS["n_values"]) * PARAMS["reps"]
 
 
@@ -134,7 +135,7 @@ def test_sigterm_midjob_then_restart_resumes_from_prefix(tmp_path, workers):
             "repro",
             "sweep",
             "--n-values",
-            "5,6",
+            ",".join(map(str, PARAMS["n_values"])),
             "--reps",
             str(PARAMS["reps"]),
             "--ledger",
