@@ -22,10 +22,17 @@ flat per-lane arrays —
 no ``OpIntent`` objects and no per-step list rebuilds.
 
 **Bit-identical by construction.**  The scheduler stream is the serial
-one: per lane, ``derive_rng(seed, "random-scheduler").getrandbits`` with
-the exact inlined rejection loop of ``RandomScheduler.choose`` (PR 5),
-drawn over the same pid-ascending runnable list that
-``Simulation.runnable_pids`` would produce.  Coin flips consume
+one: per lane, ``derive_rng(seed, "random-scheduler")`` drawn over the
+same pid-ascending runnable list that ``Simulation.runnable_pids`` would
+produce.  ``RandomScheduler.choose`` draws ``k = nrun.bit_length()`` bits
+per try and rejects values ``>= nrun``; each try consumes one 32-bit
+Mersenne Twister word and keeps its top ``k`` bits.  A lane draws those
+words in blocks (one ``getrandbits(32 * BLOCK_WORDS)``, whose i-th word
+sits at bits ``32i`` upwards on every platform), keeps each word's top
+byte, and decodes the block with one ``bytes.translate`` per runnable
+set: every top byte maps to the pid ``choose`` would grant, and the
+bytes it would reject are deleted.  With ``n <= 255`` the top byte holds
+all ``k <= 8`` bits ``choose`` reads.  Coin flips consume
 ``derive_rng(seed, "process", pid).random()`` just like the serial
 ``ctx.rng``.  Every state transition mirrors one atomic step of the
 generator runtime — a pending operation executes on the step *after* it
@@ -34,12 +41,12 @@ was yielded, so decisions land on the very step counts the serial
 never blocks the batch.
 
 **Fallback, never divergence.**  Anything outside the fast path — a
-non-default protocol configuration, ``n < 2``, non-binary inputs, an
-ill-formed counter decode, a walk overflow, an exhausted step budget —
-marks the lane with a ``fallback`` reason instead of guessing.  Callers
-(see :func:`repro.parallel.run_tasks_partial`) re-run fallback lanes
-through the ordinary serial entry point, which reproduces the serial
-result *or the serial exception* exactly.  The fast path is an
+non-default protocol configuration, ``n < 2`` or ``n > 255``, non-binary
+inputs, an ill-formed counter decode, a walk overflow, an exhausted step
+budget — marks the lane with a ``fallback`` reason instead of guessing.
+Callers (see :func:`repro.parallel.run_tasks_partial`) re-run fallback
+lanes through the ordinary serial entry point, which reproduces the
+serial result *or the serial exception* exactly.  The fast path is an
 optimisation, never a semantic fork.
 
 The graph work of the protocol step (counter decode, longest-path
@@ -68,6 +75,10 @@ _B = 2  # barrier multiplier b
 
 #: Default step budget, matching ``ConsensusProtocol.run``.
 DEFAULT_MAX_STEPS = 2_000_000
+
+#: Scheduler words a lane draws per ``getrandbits`` call.  An n = 2 or 3
+#: lane consumes about 600 to 1,400 words, so it refills once or twice.
+BLOCK_WORDS = 1024
 
 
 @dataclass(frozen=True)
@@ -116,15 +127,17 @@ class _Unsupported(Exception):
 
 
 class _Caches:
-    """Memoised strip-graph computations, shared across a batch's lanes.
+    """Memoised strip-graph computations and grant decoders, shared across
+    a batch's lanes.
 
-    Every entry is a pure function of edge-row tuples with the fast-path
-    constants fixed, so sharing across lanes (and across calls) is sound.
-    Failed computations cache their ``_Unsupported`` marker too — a state
-    the decoder rejects once it would reject every time.
+    Every strip entry is a pure function of edge-row tuples with the
+    fast-path constants fixed, and every grant decoder a pure function of
+    the runnable tuple, so sharing across lanes (and across calls) is
+    sound.  Failed computations cache their ``_Unsupported`` marker too —
+    a state the decoder rejects once it would reject every time.
     """
 
-    __slots__ = ("decode", "dists_from", "dists_to", "leaders", "inc")
+    __slots__ = ("decode", "dists_from", "dists_to", "leaders", "inc", "grants")
 
     #: Overflow guard: the reachable edge-row state space is tiny for the
     #: small ``n`` the campaigns sweep, but a service process batching
@@ -137,6 +150,7 @@ class _Caches:
         self.dists_to: dict[Any, Any] = {}
         self.leaders: dict[Any, Any] = {}
         self.inc: dict[Any, Any] = {}
+        self.grants: dict[Any, Any] = {}
 
     def trim(self) -> None:
         for cache in (
@@ -145,6 +159,7 @@ class _Caches:
             self.dists_to,
             self.leaders,
             self.inc,
+            self.grants,
         ):
             if len(cache) > self.LIMIT:
                 cache.clear()
@@ -204,6 +219,46 @@ def _relax(edges: list, n: int, source: int, forward: bool) -> list:
     return dist
 
 
+def _grant_decoder(runnable: tuple) -> tuple[bytes, bytes]:
+    """``RandomScheduler.choose`` over ``runnable`` as ``bytes.translate``
+    arguments: a table mapping a word's top byte to the pid granted from
+    its top ``k`` bits, and the top bytes whose draw is rejected."""
+    nrun = len(runnable)
+    shift = 8 - nrun.bit_length()
+    table = bytearray(256)
+    reject = bytearray()
+    for top in range(256):
+        r = top >> shift
+        if r < nrun:
+            table[top] = runnable[r]
+        else:
+            reject.append(top)
+    return bytes(table), bytes(reject)
+
+
+def _draw_block(getrandbits) -> bytes:
+    """The top bytes of the next ``BLOCK_WORDS`` scheduler words, in draw
+    order: ``getrandbits`` fills a wide result from its least significant
+    32-bit word upwards, one Mersenne Twister output per word."""
+    return getrandbits(32 * BLOCK_WORDS).to_bytes(4 * BLOCK_WORDS, "little")[3::4]
+
+
+def _words_spanned(words: bytes, reject: bytes, grants: int) -> int:
+    """Draws the serial loop makes to grant the first ``grants`` pids of
+    ``words``: the shortest prefix holding that many accepted words.
+
+    Each pass extends the prefix by the shortfall, which can add at most
+    that many accepted words, so the prefix never overshoots.
+    """
+    length = grants
+    got = len(words[:length].translate(None, reject))
+    while got < grants:
+        short = grants - got
+        got += len(words[length : length + short].translate(None, reject))
+        length += short
+    return length
+
+
 class _Lane:
     """One simulation's flattened state inside the batch."""
 
@@ -233,8 +288,9 @@ class _Lane:
         "rand",
         "grb",
         "runnable",
-        "nrun",
-        "kbits",
+        "decoder",
+        "words",
+        "wpos",
         "step_count",
         "decisions",
         "done",
@@ -257,6 +313,10 @@ class _Lane:
             # The single-process run decides during its V-write step; the
             # phase script below models the n >= 2 scan/compute shape.
             self.fallback = "fast path needs n >= 2"
+            return
+        if n > 255:
+            # A grant is decoded from one byte per scheduler word.
+            self.fallback = "fast path needs n <= 255"
             return
         if any(v not in (0, 1) for v in spec.inputs):
             self.fallback = "fast path needs binary inputs"
@@ -283,9 +343,10 @@ class _Lane:
         self.viewbuf: list = [None] * n
         self.rand = [derive_rng(spec.seed, "process", pid).random for pid in range(n)]
         self.grb = derive_rng(spec.seed, "random-scheduler").getrandbits
-        self.runnable = list(range(n))
-        self.nrun = n
-        self.kbits = n.bit_length()
+        self.runnable = tuple(range(n))
+        self.decoder = self._decoder(self.runnable)
+        self.words = b""
+        self.wpos = 0
         # Prime each process: the serial generator runs `_inc` on the
         # initial cell, installs the input preference, and parks on its
         # first pending write-arrow op — all before any step is granted.
@@ -298,6 +359,13 @@ class _Lane:
             # ``_inc`` on the initial cell: the round pointer moves 0 → 1
             # and the slot after it is zeroed (a no-op on all-zero coins).
             self.cells[pid] = (spec.inputs[pid], (0,) * _SLOTS, 1, new_row)
+
+    def _decoder(self, runnable: tuple) -> tuple[bytes, bytes]:
+        grants = self.caches.grants
+        cached = grants.get(runnable)
+        if cached is None:
+            cached = grants[runnable] = _grant_decoder(runnable)
+        return cached
 
     def _inc_row(self, i: int, erows: tuple):
         """Memoised ``inc_counters`` on ``erows`` with ``rows[i]`` already
@@ -386,9 +454,17 @@ class _Lane:
     # ------------------------------------------------------------------
 
     def advance(self, budget: int) -> None:
-        """Run up to ``budget`` atomic steps of this lane."""
-        nrun = self.nrun
-        if nrun == 0 or self.fallback is not None:
+        """Run up to ``budget`` atomic steps of this lane.
+
+        Grants come from the lane's current block of scheduler words
+        (``words``, next undrawn word at ``wpos``): a segment is the rest
+        of the block decoded in C under one runnable set into a ``bytes``
+        of pids, cut to the budget, and the loop body over it is only the
+        per-phase state machine.  Per-pid step counts, the recorded
+        schedule and the step count are taken from the grants a segment
+        used.
+        """
+        if self.done or self.fallback is not None:
             return
         remaining = self.spec.max_steps - self.step_count
         if remaining <= 0:
@@ -399,8 +475,9 @@ class _Lane:
         n = self.n
         last = n - 2
         runnable = self.runnable
-        kbits = self.kbits
-        grb = self.grb
+        table, reject = self.decoder
+        words = self.words
+        wpos = self.wpos
         phase = self.phase
         pos = self.pos
         clean = self.clean
@@ -415,84 +492,107 @@ class _Lane:
         record = self.schedule
         count = 0
         while count < todo:
-            # RandomScheduler.choose, inlined bit-for-bit (PR 5): draw
-            # bit_length(len(runnable)) bits, reject until < len(runnable).
-            r = grb(kbits)
-            while r >= nrun:
-                r = grb(kbits)
-            i = runnable[r]
-            if record is not None:
-                record.append(i)
-            steps[i] += 1
-            count += 1
-            ph = phase[i]
-            k = pos[i]
-            if ph == 3:  # first collect: read V[j]
-                firsts[i][k] = V[others[i][k]]
-                if k < last:
-                    pos[i] = k + 1
-                else:
-                    phase[i] = 4
-                    pos[i] = 0
-            elif ph == 4:  # second collect + incremental double-read check
-                s = V[others[i][k]]
-                seconds[i][k] = s
-                f = firsts[i][k]
-                if f is not s and (f[1] != s[1] or f[0] != s[0]):
-                    clean[i] = False
-                if k < last:
-                    pos[i] = k + 1
-                else:
-                    phase[i] = 5
-                    pos[i] = 0
-            elif ph == 5:  # read own arm arrow A[i][j]
-                if arrows[armidx[i][k]]:
-                    clean[i] = False
-                if k < last:
-                    pos[i] = k + 1
-                elif not clean[i]:
-                    phase[i] = 2  # dirty scan: re-arm and retry
+            pending = words[wpos:]
+            grants = pending.translate(table, reject)
+            if not grants:
+                # The serial loop would reject every word left in the block.
+                words = _draw_block(self.grb)
+                wpos = 0
+                continue
+            seg = grants[: todo - count]
+            decided = False
+            it = iter(seg)
+            for i in it:
+                ph = phase[i]
+                k = pos[i]
+                if ph == 3:  # first collect: read V[j]
+                    firsts[i][k] = V[others[i][k]]
+                    if k < last:
+                        pos[i] = k + 1
+                    else:
+                        phase[i] = 4
+                        pos[i] = 0
+                elif ph == 4:  # second collect + incremental double-read check
+                    s = V[others[i][k]]
+                    seconds[i][k] = s
+                    f = firsts[i][k]
+                    if f is not s and (f[1] != s[1] or f[0] != s[0]):
+                        clean[i] = False
+                    if k < last:
+                        pos[i] = k + 1
+                    else:
+                        phase[i] = 5
+                        pos[i] = 0
+                elif ph == 5:  # read own arm arrow A[i][j]
+                    if arrows[armidx[i][k]]:
+                        clean[i] = False
+                    if k < last:
+                        pos[i] = k + 1
+                    elif not clean[i]:
+                        phase[i] = 2  # dirty scan: re-arm and retry
+                        pos[i] = 0
+                        clean[i] = True
+                    else:
+                        # Clean scan: the protocol step runs on this same
+                        # atomic step (the serial generator computes and —
+                        # on decide — StopIterates inside this advance).
+                        if self._protocol_step(i):
+                            decided = True
+                            break
+                        if self.fallback is not None:
+                            break
+                elif ph == 2:  # arm: write A[i][j] := 0
+                    arrows[armidx[i][k]] = 0
+                    if k < last:
+                        pos[i] = k + 1
+                    else:
+                        phase[i] = 3
+                        pos[i] = 0
+                elif ph == 0:  # raise write arrows: A[j][i] := 1
+                    arrows[raisidx[i][k]] = 1
+                    if k < last:
+                        pos[i] = k + 1
+                    else:
+                        phase[i] = 1
+                        pos[i] = 0
+                else:  # ph == 1: publish the V register (toggle flips)
+                    t = self.toggle[i] ^ 1
+                    self.toggle[i] = t
+                    cell = self.cells[i]
+                    V[i] = (cell, t)
+                    self.last_written[i] = cell
+                    phase[i] = 2
                     pos[i] = 0
                     clean[i] = True
-                else:
-                    # Clean scan: the protocol step runs on this same
-                    # atomic step (the serial generator computes and —
-                    # on decide — StopIterates inside this advance).
-                    if self._protocol_step(i):
-                        runnable.remove(i)
-                        nrun -= 1
-                        if nrun == 0:
-                            break
-                        kbits = nrun.bit_length()
-                    elif self.fallback is not None:
-                        break
-            elif ph == 2:  # arm: write A[i][j] := 0
-                arrows[armidx[i][k]] = 0
-                if k < last:
-                    pos[i] = k + 1
-                else:
-                    phase[i] = 3
-                    pos[i] = 0
-            elif ph == 0:  # raise write arrows: A[j][i] := 1
-                arrows[raisidx[i][k]] = 1
-                if k < last:
-                    pos[i] = k + 1
-                else:
-                    phase[i] = 1
-                    pos[i] = 0
-            else:  # ph == 1: publish the V register (toggle flips)
-                t = self.toggle[i] ^ 1
-                self.toggle[i] = t
-                cell = self.cells[i]
-                V[i] = (cell, t)
-                self.last_written[i] = cell
-                phase[i] = 2
-                pos[i] = 0
-                clean[i] = True
+            used = len(seg) - it.__length_hint__()
+            seg = seg[:used]
+            count += used
+            for pid in runnable:
+                steps[pid] += seg.count(pid)
+            if record is not None:
+                record.extend(seg)
+            if decided or used < len(grants):
+                # Resume right after the last granted word.  After a
+                # decision k may shrink, and a word rejected here would
+                # then grant, so trailing rejects are not skipped.
+                wpos += _words_spanned(pending, reject, used)
+            else:
+                # Every grant taken under an unchanged runnable set: the
+                # serial loop rejects the trailing words too.
+                wpos = len(words)
+            if decided:
+                runnable = tuple(pid for pid in runnable if pid != i)
+                if not runnable:
+                    break
+                table, reject = self._decoder(runnable)
+            elif self.fallback is not None:
+                break
         self.step_count += count
-        self.nrun = nrun
-        self.kbits = kbits
-        if nrun == 0:
+        self.runnable = runnable
+        self.decoder = (table, reject)
+        self.words = words
+        self.wpos = wpos
+        if not runnable:
             self.done = True
         elif self.fallback is None and self.step_count >= self.spec.max_steps:
             self.fallback = "step budget exhausted"
@@ -657,8 +757,11 @@ def run_lanes(
 
     Lanes retire individually — the round-robin outer loop drops a lane
     the moment it decides everywhere (or falls back), so one adversarial
-    slow lane costs only its own steps, not the batch's.
+    slow lane costs only its own steps, not the batch's.  ``chunk`` is
+    the steps per lane per turn and must be at least 1.
     """
+    if chunk < 1:
+        raise ValueError(f"chunk must be >= 1 steps per turn, got {chunk!r}")
     caches = _SHARED_CACHES
     lanes = [_Lane(spec, caches, record_schedule) for spec in specs]
     active = [lane for lane in lanes if not lane.done and lane.fallback is None]

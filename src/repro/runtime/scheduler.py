@@ -98,7 +98,9 @@ class RandomScheduler(Scheduler):
             # with the getrandbits rejection loop), drawing the exact same
             # bits in the same order so every seeded schedule — and every
             # checked-in baseline built on one — replays unchanged.  Saves
-            # two method dispatches per simulation step.
+            # two method dispatches per simulation step.  ``repro.batch``
+            # decodes these same draws from block-drawn words, so a change
+            # here must change its grant decoder too (tests/batch/test_rng.py).
             n = len(runnable)
             getrandbits = self._getrandbits
             k = n.bit_length()

@@ -9,7 +9,7 @@ rather than an approximated result.
 
 import pytest
 
-from repro.batch import LaneSpec, run_lanes
+from repro.batch import LaneSpec, engine, run_lanes
 from repro.consensus import AdsConsensus
 from repro.runtime import RandomScheduler
 
@@ -74,6 +74,28 @@ def test_chunk_size_is_invisible():
 def test_single_process_lane_falls_back():
     (lane,) = run_lanes([LaneSpec(inputs=(1,), seed=0)])
     assert lane.fallback is not None
+
+
+def test_lane_wider_than_a_byte_falls_back_before_priming(monkeypatch):
+    # A grant is decoded from one byte per scheduler word, so n = 256 is
+    # refused up front, before 256 counter rows are primed.
+    def primed(*args):
+        raise AssertionError("lane primed before its size was checked")
+
+    monkeypatch.setattr(engine._Lane, "_inc_row", primed)
+    (lane,) = run_lanes([LaneSpec(inputs=(0, 1) * 128, seed=0)])
+    assert lane.fallback == "fast path needs n <= 255"
+
+
+@pytest.mark.parametrize("chunk", [0, -1])
+def test_non_positive_chunk_is_rejected_before_any_lane(chunk, monkeypatch):
+    # advance(0) takes no step, so the round-robin loop would spin forever.
+    def built(*args):
+        raise AssertionError("lane built before chunk was checked")
+
+    monkeypatch.setattr(engine, "_Lane", built)
+    with pytest.raises(ValueError, match="chunk"):
+        run_lanes([lane_spec(3, 0)], chunk=chunk)
 
 
 def test_non_binary_inputs_fall_back():
