@@ -42,18 +42,23 @@ never blocks the batch.
 
 **Fallback, never divergence.**  Anything outside the fast path — a
 non-default protocol configuration, ``n < 2`` or ``n > 255``, non-binary
-inputs, an ill-formed counter decode, a walk overflow, an exhausted step
-budget — marks the lane with a ``fallback`` reason instead of guessing.
+inputs, an ill-formed counter decode or a positive cycle in the strip
+graph, a walk overflow, an exhausted step budget — marks the lane with a
+``fallback`` reason instead of guessing.
 Callers (see :func:`repro.parallel.run_tasks_partial`) re-run fallback
 lanes through the ordinary serial entry point, which reproduces the
 serial result *or the serial exception* exactly.  The fast path is an
 optimisation, never a semantic fork.
 
-The graph work of the protocol step (counter decode, longest-path
-distances, leader sets, counter increments) is memoised on the edge-row
-tuples: independent lanes revisit the same small strip-graph states
-constantly, so across a batch the amortised compute cost per step drops
-well below the serial interpreter's.
+The protocol step's strip-graph work and its round rule are the
+generator protocol's own: a lane decodes its scanned edge rows with
+:class:`~repro.strip.edge_counters.CounterGraph` and picks decide, adopt,
+withdraw or coin with :func:`~repro.consensus.ads.round_action`.  The
+decoder is memoised as one instance per edge-row tuple, which holds its
+leaders and caches its own distance and increment queries: independent
+lanes revisit the same small strip-graph states constantly, so across a
+batch the amortised graph work per step drops well below the serial
+interpreter's.
 """
 
 from __future__ import annotations
@@ -62,15 +67,14 @@ from dataclasses import dataclass, field
 from typing import Any
 
 from repro.coin.logic import default_m
+from repro.consensus.ads import ADOPT, DECIDE, WITHDRAW, round_action
 from repro.runtime.rng import derive_rng
-
-_NEG_INF = float("-inf")
+from repro.strip.edge_counters import CounterGraph
 
 #: Fast-path protocol constants — the ``AdsConsensus()`` defaults.  A lane
 #: needing anything else must come in through the serial fallback.
 K = 2
 _SLOTS = K + 1  # coin slots per cell
-_SIZE = 3 * K  # edge-counter modulus
 _B = 2  # barrier multiplier b
 
 #: Default step budget, matching ``ConsensusProtocol.run``.
@@ -122,22 +126,18 @@ class LaneResult:
         return max(self.rounds_by_pid.values(), default=0)
 
 
-class _Unsupported(Exception):
-    """A state the fast path refuses to interpret (→ serial fallback)."""
-
-
 class _Caches:
-    """Memoised strip-graph computations and grant decoders, shared across
-    a batch's lanes.
+    """Memoised strip-graph decoders and grant decoders, shared across a
+    batch's lanes.
 
-    Every strip entry is a pure function of edge-row tuples with the
-    fast-path constants fixed, and every grant decoder a pure function of
-    the runnable tuple, so sharing across lanes (and across calls) is
-    sound.  Failed computations cache their ``_Unsupported`` marker too —
-    a state the decoder rejects once it would reject every time.
+    ``graphs`` maps an edge-row tuple to its :class:`CounterGraph` (with
+    the fast-path K), and ``grants`` a runnable tuple to its grant
+    decoder.  Both are pure functions of their keys, so sharing across
+    lanes (and across calls) is sound.  Rows that fail to decode are not
+    cached: the lane that meets them falls back.
     """
 
-    __slots__ = ("decode", "dists_from", "dists_to", "leaders", "inc", "grants")
+    __slots__ = ("graphs", "grants")
 
     #: Overflow guard: the reachable edge-row state space is tiny for the
     #: small ``n`` the campaigns sweep, but a service process batching
@@ -145,78 +145,13 @@ class _Caches:
     LIMIT = 1 << 20
 
     def __init__(self) -> None:
-        self.decode: dict[Any, Any] = {}
-        self.dists_from: dict[Any, Any] = {}
-        self.dists_to: dict[Any, Any] = {}
-        self.leaders: dict[Any, Any] = {}
-        self.inc: dict[Any, Any] = {}
-        self.grants: dict[Any, Any] = {}
+        self.graphs: dict[tuple, CounterGraph] = {}
+        self.grants: dict[tuple, tuple[bytes, bytes]] = {}
 
     def trim(self) -> None:
-        for cache in (
-            self.decode,
-            self.dists_from,
-            self.dists_to,
-            self.leaders,
-            self.inc,
-            self.grants,
-        ):
+        for cache in (self.graphs, self.grants):
             if len(cache) > self.LIMIT:
                 cache.clear()
-
-
-def _decode(erows: tuple, n: int):
-    """``decode_graph`` specialised: edge rows → (weight matrix, edges).
-
-    ``W[i][j]`` is the weight of edge i→j or ``None``; ``edges`` is the
-    relaxation worklist as ``(src, dst, weight)`` triples.  A modular tie
-    between the two directions is ill-formed, exactly as in
-    ``repro.strip.distance_graph.decode_graph``.
-    """
-    W = [[None] * n for _ in range(n)]
-    edges = []
-    for i in range(n):
-        row_i = erows[i]
-        Wi = W[i]
-        for j in range(i + 1, n):
-            d_ij = (row_i[j] - erows[j][i]) % _SIZE
-            if d_ij == 0:
-                Wi[j] = 0
-                W[j][i] = 0
-                edges.append((i, j, 0))
-                edges.append((j, i, 0))
-            else:
-                d_ji = _SIZE - d_ij
-                if d_ij < d_ji:
-                    Wi[j] = d_ij
-                    edges.append((i, j, d_ij))
-                elif d_ji < d_ij:
-                    W[j][i] = d_ji
-                    edges.append((j, i, d_ji))
-                else:
-                    raise _Unsupported(f"ill-formed counters between {i} and {j}")
-    return W, edges
-
-
-def _relax(edges: list, n: int, source: int, forward: bool) -> list:
-    """Longest-path distances from/to ``source`` (``DistanceGraph``'s
-    fixpoint relaxation, same round bound, same positive-cycle guard)."""
-    dist = [_NEG_INF] * n
-    dist[source] = 0
-    for _ in range(n + 1):
-        changed = False
-        for u, v, w in edges:
-            if not forward:
-                u, v = v, u
-            du = dist[u]
-            if du != _NEG_INF and du + w > dist[v]:
-                dist[v] = du + w
-                changed = True
-        if not changed:
-            break
-    else:
-        raise _Unsupported("positive cycle in strip graph")
-    return dist
 
 
 def _grant_decoder(runnable: tuple) -> tuple[bytes, bytes]:
@@ -274,7 +209,6 @@ class _Lane:
         "V",
         "arrows",
         "cells",
-        "last_written",
         "toggle",
         "phase",
         "pos",
@@ -297,6 +231,7 @@ class _Lane:
         "fallback",
         "schedule",
         "viewbuf",
+        "prefbuf",
     )
 
     def __init__(self, spec: LaneSpec, caches: _Caches, record: bool) -> None:
@@ -329,7 +264,6 @@ class _Lane:
         initial = (None, (0,) * _SLOTS, 0, (0,) * n)
         self.V = [(initial, 0) for _ in range(n)]
         self.arrows = [0] * (n * n)
-        self.last_written = [initial] * n
         self.toggle = [0] * n
         self.phase = [0] * n
         self.pos = [0] * n
@@ -341,6 +275,7 @@ class _Lane:
         self.flips = [0] * n
         self.scans = [0] * n
         self.viewbuf: list = [None] * n
+        self.prefbuf: list = [None] * n
         self.rand = [derive_rng(spec.seed, "process", pid).random for pid in range(n)]
         self.grb = derive_rng(spec.seed, "random-scheduler").getrandbits
         self.runnable = tuple(range(n))
@@ -350,14 +285,12 @@ class _Lane:
         # Prime each process: the serial generator runs `_inc` on the
         # initial cell, installs the input preference, and parks on its
         # first pending write-arrow op — all before any step is granted.
-        zero_rows = tuple((0,) * n for _ in range(n))
+        # ``_inc`` on the initial cell moves the round pointer 0 → 1 and
+        # zeroes the slot after it (a no-op on all-zero coins).
+        initial_graph = self._graph(tuple((0,) * n for _ in range(n)))
         for pid in range(n):
-            new_row = self._inc_row(pid, zero_rows)
-            if new_row is None:
-                return  # fallback already set
+            new_row = initial_graph.inc_row(pid)
             self.rounds[pid] = 1
-            # ``_inc`` on the initial cell: the round pointer moves 0 → 1
-            # and the slot after it is zeroed (a no-op on all-zero coins).
             self.cells[pid] = (spec.inputs[pid], (0,) * _SLOTS, 1, new_row)
 
     def _decoder(self, runnable: tuple) -> tuple[bytes, bytes]:
@@ -367,87 +300,13 @@ class _Lane:
             cached = grants[runnable] = _grant_decoder(runnable)
         return cached
 
-    def _inc_row(self, i: int, erows: tuple):
-        """Memoised ``inc_counters`` on ``erows`` with ``rows[i]`` already
-        equal to the local cell's row (always true at our call sites).
-        Returns the new row tuple, or ``None`` after marking fallback."""
-        caches = self.caches
-        key = (i, erows)
-        cached = caches.inc.get(key)
-        if cached is None:
-            try:
-                cached = self._compute_inc_row(i, erows)
-            except _Unsupported as exc:
-                cached = exc
-            caches.inc[key] = cached
-        if type(cached) is _Unsupported:
-            self.fallback = str(cached)
-            return None
-        return cached
-
-    def _compute_inc_row(self, i: int, erows: tuple) -> tuple:
-        n = self.n
-        W, edges = self._graph(erows)
-        dists_to_i = self._dists(erows, edges, i, forward=False)
-        row = list(erows[i])
-        Wi = W[i]
-        for j in range(n):
-            if j == i:
-                continue
-            w_ji = W[j][i]
-            closes_gap = False
-            if w_ji is not None:
-                dists_to_j = self._dists(erows, edges, j, forward=False)
-                for k in range(n):
-                    dk = dists_to_j[k]
-                    if dk != _NEG_INF and dk + w_ji == dists_to_i[k]:
-                        closes_gap = True
-                        break
-            w_ij = Wi[j]
-            if closes_gap or (w_ij is not None and w_ij < K):
-                row[j] = (row[j] + 1) % _SIZE
-        return tuple(row)
-
-    def _graph(self, erows: tuple):
-        """Memoised decode; raises ``_Unsupported`` on ill-formed rows."""
-        caches = self.caches
-        cached = caches.decode.get(erows)
-        if cached is None:
-            try:
-                cached = _decode(erows, self.n)
-            except _Unsupported as exc:
-                cached = exc
-            caches.decode[erows] = cached
-        if type(cached) is _Unsupported:
-            raise cached
-        return cached
-
-    def _dists(self, erows: tuple, edges: list, source: int, forward: bool):
-        cache = self.caches.dists_from if forward else self.caches.dists_to
-        key = (erows, source)
-        cached = cache.get(key)
-        if cached is None:
-            try:
-                cached = _relax(edges, self.n, source, forward)
-            except _Unsupported as exc:
-                cached = exc
-            cache[key] = cached
-        if type(cached) is _Unsupported:
-            raise cached
-        return cached
-
-    def _leader_pids(self, erows: tuple, W: list) -> tuple:
-        caches = self.caches
-        cached = caches.leaders.get(erows)
-        if cached is None:
-            n = self.n
-            cached = tuple(
-                i
-                for i in range(n)
-                if all(W[i][j] is not None for j in range(n) if j != i)
-            )
-            caches.leaders[erows] = cached
-        return cached
+    def _graph(self, erows: tuple) -> CounterGraph:
+        """The memoised decoder of ``erows``; raises ``IllFormedCounters``."""
+        graphs = self.caches.graphs
+        graph = graphs.get(erows)
+        if graph is None:
+            graph = graphs[erows] = CounterGraph(erows, K)
+        return graph
 
     # ------------------------------------------------------------------
     # The fused step loop.
@@ -558,9 +417,7 @@ class _Lane:
                 else:  # ph == 1: publish the V register (toggle flips)
                     t = self.toggle[i] ^ 1
                     self.toggle[i] = t
-                    cell = self.cells[i]
-                    V[i] = (cell, t)
-                    self.last_written[i] = cell
+                    V[i] = (self.cells[i], t)
                     phase[i] = 2
                     pos[i] = 0
                     clean[i] = True
@@ -600,88 +457,59 @@ class _Lane:
     def _protocol_step(self, i: int) -> bool:
         """One ADS round decision for ``i`` after a clean scan.
 
-        Returns True when ``i`` decided (the lane retires the pid); on an
-        unsupported state sets ``self.fallback`` and returns False.
+        Returns True when ``i`` decided (the lane retires the pid).  When
+        the shared core rejects the scanned rows (ill-formed counters, or
+        a positive cycle met by a distance query) it sets
+        ``self.fallback`` to the error's message and returns False.
         """
         self.scans[i] += 1
         n = self.n
         view = self.viewbuf
+        prefs = self.prefbuf
         others_i = self.others[i]
         sec = self.second[i]
         for k in range(n - 1):
-            view[others_i[k]] = sec[k][0]
-        mine = self.last_written[i]
-        view[i] = mine
-        erows = tuple(cell[3] for cell in view)
+            j = others_i[k]
+            scanned = view[j] = sec[k][0]
+            prefs[j] = scanned[0]
+        # Every new cell is published before its owner's next scan, so
+        # the cell is also the scan's own entry.
+        cell = view[i] = self.cells[i]
+        prefs[i] = cell[0]
         try:
-            W, edges = self._graph(erows)
-        except _Unsupported as exc:
+            # A list comprehension builds the key faster than a generator.
+            graph = self._graph(tuple([c[3] for c in view]))
+            action, value = round_action(i, prefs, graph, K)
+            if action == DECIDE:
+                self.decisions[i] = value
+                return True
+            if action == ADOPT:
+                new_cell = self._advance_cell(i, cell, graph, value)
+            elif action == WITHDRAW:
+                new_cell = (None, cell[1], cell[2], cell[3])
+            else:
+                new_cell = self._coin_step(i, cell, view, graph)
+        except ValueError as exc:  # IllFormedCounters is a ValueError
             self.fallback = str(exc)
             return False
-        pref_i = mine[0]
-        # (1) Decide: i leads everyone, and every disagreeing process is
-        # at least K behind on the strip.
-        if pref_i is not None:
-            Wi = W[i]
-            is_leader = True
-            for j in range(n):
-                if j != i and Wi[j] is None:
-                    is_leader = False
-                    break
-            if is_leader:
-                try:
-                    dists = self._dists(erows, edges, i, forward=True)
-                except _Unsupported as exc:
-                    self.fallback = str(exc)
-                    return False
-                decide = True
-                for j in range(n):
-                    if j != i and view[j][0] != pref_i and dists[j] < K:
-                        decide = False
-                        break
-                if decide:
-                    self.decisions[i] = pref_i
-                    return True
-        # (2) Adopt the leaders' agreed preference, if any.
-        leaders = self._leader_pids(erows, W)
-        leaders_value = None
-        if leaders:
-            values = {view[lead][0] for lead in leaders}
-            if len(values) == 1:
-                value = values.pop()
-                if value is not None:
-                    leaders_value = value
-        cell = self.cells[i]
-        if leaders_value is not None:
-            new_cell = self._advance_cell(i, cell, erows, leaders_value)
-            if new_cell is None:
-                return False
-        elif pref_i is not None:
-            # (3) Withdraw a preference the leaders do not agree on.
-            new_cell = (None, cell[1], cell[2], cell[3])
-        else:
-            # (4) Resolve by the shared coin.
-            new_cell = self._coin_step(i, cell, view, erows, W)
-            if new_cell is None:
-                return False
+        if new_cell is None:
+            return False
         self.cells[i] = new_cell
         self.phase[i] = 0
         self.pos[i] = 0
         return False
 
-    def _advance_cell(self, i: int, cell: tuple, erows: tuple, pref):
+    def _advance_cell(self, i: int, cell: tuple, graph: CounterGraph, pref):
         """``_inc`` + set preference: move to the next round slot, zero
         the slot after it, bump this row's edge counters."""
-        new_row = self._inc_row(i, erows)
-        if new_row is None:
-            return None
+        new_row = graph.inc_row(i)
         pointer = (cell[2] + 1) % _SLOTS
         coins = list(cell[1])
         coins[(pointer + 1) % _SLOTS] = 0
         self.rounds[i] += 1
         return (pref, tuple(coins), pointer, new_row)
 
-    def _coin_step(self, i: int, cell: tuple, view: list, erows: tuple, W: list):
+    def _coin_step(self, i: int, cell: tuple, view: list, graph: CounterGraph):
         """``_resolve_conflict``: read the shared coin, flip or adopt."""
         nslot = (cell[2] + 1) % _SLOTS
         own = cell[1][nslot]
@@ -690,6 +518,7 @@ class _Lane:
             coin = 1  # bounded-overflow rule: deterministic heads
         else:
             total = own
+            W = graph.W
             for j in range(self.n):
                 if j == i:
                     continue
@@ -714,7 +543,7 @@ class _Lane:
             coins = list(cell[1])
             coins[nslot] = new_value
             return (cell[0], tuple(coins), cell[2], cell[3])
-        return self._advance_cell(i, cell, erows, coin)
+        return self._advance_cell(i, cell, graph, coin)
 
     def result(self) -> LaneResult:
         n_range = range(self.n)

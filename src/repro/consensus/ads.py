@@ -50,8 +50,51 @@ from repro.runtime.simulation import Simulation
 from repro.snapshot.arrows import ArrowScannableMemory
 from repro.snapshot.interface import ScannableMemory
 from repro.snapshot.sequenced import SequencedScannableMemory
-from repro.strip.distance_graph import DistanceGraph
-from repro.strip.edge_counters import decode_graph, inc_counters
+from repro.strip.edge_counters import CounterGraph
+
+
+#: The four outcomes of :func:`round_action`.
+DECIDE = "decide"
+ADOPT = "adopt"
+WITHDRAW = "withdraw"
+CONFLICT = "conflict"
+
+
+def round_action(
+    i: int, prefs: Sequence, graph: CounterGraph, K: int
+) -> tuple[str, int | None]:
+    """Paper lines 2–6: what process i does with a clean scan.
+
+    ``prefs`` are the scanned preferences and ``graph`` decodes the
+    scanned edge rows.  Returns ``(action, value)``:
+
+    - ``(DECIDE, v)``: my preference ``v`` is a value, I am a leader (I
+      dominate everyone in ``graph``), and every process that disagrees
+      with me (⊥ counts as disagreeing) trails me by at least K;
+    - ``(ADOPT, v)``: all leaders carry the same value ``v ≠ ⊥``; adopt it
+      and advance a round;
+    - ``(WITHDRAW, None)``: the leaders agree on no value and my
+      preference is not ⊥; write ⊥ (same round);
+    - ``(CONFLICT, None)``: the leaders agree on no value and I already
+      withdrew; resolve the round randomly (lines 7–8, the caller's coin).
+
+    Shared by :class:`AdsConsensus` and the fused lanes of
+    :mod:`repro.batch.engine`.  Raises ``ValueError`` when the decide
+    test meets a positive cycle.
+    """
+    pref = prefs[i]
+    if pref is not BOTTOM and i in graph.leaders:
+        for p, d in zip(prefs, graph.dists_from(i)):
+            if p != pref and d < K:
+                break
+        else:
+            return DECIDE, pref
+    value = agreed_value([prefs[lead] for lead in graph.leaders])
+    if value is not None:
+        return ADOPT, value
+    if pref is not BOTTOM:
+        return WITHDRAW, None
+    return CONFLICT, None
 
 
 @dataclass(frozen=True)
@@ -197,7 +240,7 @@ class AdsConsensus(ConsensusProtocol):
             # the recovery path for a process that crashed before its
             # pre-loop write landed: restarting fresh with the original
             # input preserves validity.
-            cell = self._inc(i, initial, [initial] * n)
+            cell = self._inc(i, initial, CounterGraph((initial.edges,) * n, self.K))
             cell = replace(cell, pref=input_value)
             yield from memory.write(ctx, cell)
 
@@ -205,34 +248,26 @@ class AdsConsensus(ConsensusProtocol):
             view = yield from memory.scan(ctx)
             self._scans[i] += 1
             self._m_scans.inc()
-            graph = decode_graph([v.edges for v in view], self.K)
-            mine = view[i]
-            prefs = [v.pref for v in view]
+            graph = CounterGraph([v.edges for v in view], self.K)
             self._observe_leader_gap(graph)
+            action, value = round_action(i, [v.pref for v in view], graph, self.K)
 
             # Line 2: leader with every disagreeing process K behind -> decide.
-            if mine.pref is not BOTTOM and self._can_decide(i, graph, prefs, n):
+            if action == DECIDE:
                 self._m_decisions.inc()
-                return mine.pref
+                return value
 
-            # Lines 3-4: all leaders agree on a value -> adopt it, advance.
-            leaders_value = agreed_value([prefs[l] for l in graph.leaders()])
-            if leaders_value is not None:
-                cell = self._inc(i, cell, view)
-                cell = replace(cell, pref=leaders_value)
-                yield from memory.write(ctx, cell)
-                continue
-
-            # Lines 5-6: leaders disagree; withdraw my preference first.
-            if mine.pref is not BOTTOM:
+            if action == ADOPT:
+                # Lines 3-4: all leaders agree on a value -> adopt it, advance.
+                cell = replace(self._inc(i, cell, graph), pref=value)
+            elif action == WITHDRAW:
+                # Lines 5-6: leaders disagree; withdraw my preference first.
                 cell = replace(cell, pref=BOTTOM)
-                yield from memory.write(ctx, cell)
-                continue
-
-            # Lines 7-8: resolve the conflict randomly (hook: the paper
-            # drives the round's weak shared coin; subclasses may swap the
-            # randomness source while keeping the bounded strip).
-            cell = self._resolve_conflict(ctx, cell, view, graph, n, m)
+            else:
+                # Lines 7-8: resolve the conflict randomly (hook: the paper
+                # drives the round's weak shared coin; subclasses may swap
+                # the randomness source while keeping the bounded strip).
+                cell = self._resolve_conflict(ctx, cell, view, graph, n, m)
             yield from memory.write(ctx, cell)
 
     def _resolve_conflict(
@@ -240,7 +275,7 @@ class AdsConsensus(ConsensusProtocol):
         ctx: ProcessContext,
         cell: AdsCell,
         view: Sequence[AdsCell],
-        graph: DistanceGraph,
+        graph: CounterGraph,
         n: int,
         m: int,
     ) -> AdsCell:
@@ -248,12 +283,12 @@ class AdsConsensus(ConsensusProtocol):
         coin = self._next_coin_value(ctx.pid, cell, view, graph, n, m)
         if coin is logic.UNDECIDED:
             return self._flip_next_coin(ctx, cell, m)
-        cell = self._inc(ctx.pid, cell, view)
+        cell = self._inc(ctx.pid, cell, graph)
         return replace(cell, pref=coin)
 
     # -- protocol pieces (the paper's procedures) ------------------------------
 
-    def _observe_leader_gap(self, graph: DistanceGraph) -> None:
+    def _observe_leader_gap(self, graph: CounterGraph) -> None:
         """Track the largest lead any leader holds over the trailing pack.
 
         The gap drives decidability (line 2 needs disagreeers to trail by
@@ -266,38 +301,33 @@ class AdsConsensus(ConsensusProtocol):
         """
         if self._metrics is None or not self._metrics.enabled:
             return
-        leaders = graph.leaders()
+        leaders = graph.leaders
         if not leaders:
             return
         try:
-            dists = graph.all_dists_from(leaders[0])
+            dists = graph.dists_from(leaders[0])
         except ValueError:
             return
         finite = [d for d in dists if d != float("-inf")]
         self._m_leader_gap.set_max(max(finite, default=0))
 
-    def _can_decide(
-        self, i: int, graph: DistanceGraph, prefs: list, n: int
-    ) -> bool:
-        """"All who disagree trail by K, and I'm a leader"."""
-        if any(not graph.has_edge(i, j) for j in range(n) if j != i):
-            return False  # not a leader
-        dists = graph.all_dists_from(i)
-        return all(
-            prefs[j] == prefs[i] or dists[j] >= self.K
-            for j in range(n)
-            if j != i
-        )
-
-    def _inc(self, i: int, cell: AdsCell, view: Sequence[AdsCell]) -> AdsCell:
+    def _inc(self, i: int, cell: AdsCell, graph: CounterGraph) -> AdsCell:
         """The paper's ``inc(round)``: advance pointer, recycle slot,
-        ``inc_graph`` the edge-counter row."""
+        ``inc_graph`` the edge-counter row.
+
+        ``graph`` decodes the scanned rows.  My own row comes from my
+        cell, since local knowledge is freshest: when the scanned copy
+        differs (a fault corrupted my last write, say) the rows with my
+        cell's row are decoded instead.
+        """
+        if graph.rows[i] != cell.edges:
+            rows = list(graph.rows)
+            rows[i] = cell.edges
+            graph = CounterGraph(rows, self.K)
+        new_row = graph.inc_row(i)
         pointer = cell.next_slot()
         coins = list(cell.coins)
         coins[(pointer + 1) % len(coins)] = 0  # withdraw round r-K, prepare r+1
-        rows = [list(v.edges) for v in view]
-        rows[i] = list(cell.edges)  # own row: local knowledge is freshest
-        new_row = inc_counters(i, rows, self.K)
         self._rounds[i] += 1
         self._m_rounds.inc()
         self._m_edge_incs.inc(
@@ -307,7 +337,7 @@ class AdsConsensus(ConsensusProtocol):
             pref=cell.pref,
             coins=tuple(coins),
             current_coin=pointer,
-            edges=tuple(new_row),
+            edges=new_row,
         )
 
     def _next_coin_value(
@@ -315,7 +345,7 @@ class AdsConsensus(ConsensusProtocol):
         i: int,
         cell: AdsCell,
         view: Sequence[AdsCell],
-        graph: DistanceGraph,
+        graph: CounterGraph,
         n: int,
         m: int,
     ):
@@ -333,8 +363,8 @@ class AdsConsensus(ConsensusProtocol):
         for j in range(n):
             if j == i:
                 continue
-            if graph.has_edge(j, i) and graph.weight(j, i) < self.K:
-                w = graph.weight(j, i)
+            w = graph.W[j][i]
+            if w is not None and w < self.K:
                 other = view[j]
                 slot = (other.current_coin - w + 1) % slots
                 counters[j] = other.coins[slot]

@@ -32,7 +32,7 @@ from typing import Sequence
 from repro.coin.local import local_coin_flip
 from repro.consensus.ads import AdsCell, AdsConsensus
 from repro.runtime.process import ProcessContext
-from repro.strip.distance_graph import DistanceGraph
+from repro.strip.edge_counters import CounterGraph
 
 
 class BoundedLocalCoinConsensus(AdsConsensus):
@@ -45,11 +45,11 @@ class BoundedLocalCoinConsensus(AdsConsensus):
         ctx: ProcessContext,
         cell: AdsCell,
         view: Sequence[AdsCell],
-        graph: DistanceGraph,
+        graph: CounterGraph,
         n: int,
         m: int,
     ) -> AdsCell:
         """Leaders disagree: re-draw privately and advance a round."""
         self._flips[ctx.pid] += 1
-        cell = self._inc(ctx.pid, cell, view)
+        cell = self._inc(ctx.pid, cell, graph)
         return replace(cell, pref=local_coin_flip(ctx))

@@ -32,7 +32,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from repro.consensus.interface import ConsensusRun
-from repro.strip.edge_counters import decode_graph
+from repro.strip.edge_counters import CounterGraph
 
 _NEG_INF = float("-inf")
 
@@ -81,7 +81,7 @@ def compute_virtual_rounds(run: ConsensusRun, K: int = 2) -> VirtualRoundTrace:
     previous_view = None
     for scan in scans:
         view = scan.result  # tuple of AdsCells
-        graph = decode_graph([cell.edges for cell in view], K)
+        graph = CounterGraph([cell.edges for cell in view], K)
         top = max(previous_rounds)
         old_leaders = [j for j in range(n) if previous_rounds[j] == top]
         if previous_view is None:
@@ -95,7 +95,7 @@ def compute_virtual_rounds(run: ConsensusRun, K: int = 2) -> VirtualRoundTrace:
         current = list(previous_rounds)
         if new_leaders:
             anchor = min(new_leaders)
-            dists = graph.all_dists_from(anchor)
+            dists = graph.dists_from(anchor)
             for i in range(n):
                 if i in new_leaders:
                     current[i] = top + 1
@@ -104,7 +104,7 @@ def compute_virtual_rounds(run: ConsensusRun, K: int = 2) -> VirtualRoundTrace:
                     current[i] = top + 1 - distance
         else:
             anchor = min(old_leaders)
-            dists = graph.all_dists_from(anchor)
+            dists = graph.dists_from(anchor)
             for i in range(n):
                 distance = dists[i] if dists[i] != _NEG_INF else K * n
                 current[i] = top - distance

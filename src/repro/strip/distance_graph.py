@@ -25,6 +25,38 @@ from typing import Iterable, Sequence
 _NEG_INF = float("-inf")
 
 
+def longest_paths(
+    edges: Sequence[tuple[int, int, int]], n: int, source: int, forward: bool
+) -> list[float]:
+    """Maximum path weights from ``source`` (``forward``) or into it.
+
+    ``edges`` holds ``(u, v, w)`` triples for the edges ``u → v``.  The
+    result's entry k is ``dist(source, k)`` going forward and
+    ``dist(k, source)`` otherwise; ``-inf`` where no path exists.
+
+    Longest-path relaxation; converges because a legal graph has no
+    positive cycles (property 2), so cycles never improve a path.  Legal
+    graphs converge within n-1 changing rounds (simple paths have at most
+    n-1 edges and zero cycles never improve anything), so round n is
+    always quiet; a positive cycle keeps changing and raises
+    ``ValueError``.
+    """
+    if not forward:
+        edges = [(v, u, w) for u, v, w in edges]
+    dist: list[float] = [_NEG_INF] * n
+    dist[source] = 0
+    for _ in range(n + 1):
+        changed = False
+        for u, v, w in edges:
+            du = dist[u]
+            if du != _NEG_INF and du + w > dist[v]:
+                dist[v] = du + w
+                changed = True
+        if not changed:
+            return dist
+    raise ValueError("positive cycle detected: not a legal distance graph")
+
+
 class DistanceGraph:
     """Directed weighted graph over n tokens, weights in ``{0..K}``."""
 
@@ -78,26 +110,10 @@ class DistanceGraph:
     def all_dists_to(self, target: int) -> list[float]:
         """``dist(k, target)`` for every k: maximum path weight into target.
 
-        Longest-path relaxation; converges because the graph has no positive
-        cycles (property 2), so cycles never improve a path.  Unreachable
-        sources get ``-inf``.
+        Unreachable sources get ``-inf``; raises ``ValueError`` on a
+        positive cycle (see :func:`longest_paths`).
         """
-        dist: list[float] = [_NEG_INF] * self.n
-        dist[target] = 0
-        # Legal graphs converge within n-1 changing rounds (simple paths
-        # have at most n-1 edges and zero cycles never improve anything),
-        # so round n is always quiet; a positive cycle keeps changing.
-        for _ in range(self.n + 1):
-            changed = False
-            for (u, v), w in self.weights.items():
-                if dist[v] != _NEG_INF and dist[v] + w > dist[u]:
-                    dist[u] = dist[v] + w
-                    changed = True
-            if not changed:
-                break
-        else:
-            raise ValueError("positive cycle detected: not a legal distance graph")
-        return dist
+        return longest_paths(list(self.edges()), self.n, target, forward=False)
 
     def dist(self, i: int, j: int) -> float:
         """``dist(i, j)``: maximum weight over directed paths i → j."""
@@ -105,19 +121,7 @@ class DistanceGraph:
 
     def all_dists_from(self, source: int) -> list[float]:
         """``dist(source, k)`` for every k (same relaxation, outgoing)."""
-        dist: list[float] = [_NEG_INF] * self.n
-        dist[source] = 0
-        for _ in range(self.n + 1):
-            changed = False
-            for (u, v), w in self.weights.items():
-                if dist[u] != _NEG_INF and dist[u] + w > dist[v]:
-                    dist[v] = dist[u] + w
-                    changed = True
-            if not changed:
-                break
-        else:
-            raise ValueError("positive cycle detected: not a legal distance graph")
-        return dist
+        return longest_paths(list(self.edges()), self.n, source, forward=True)
 
     def leaders(self) -> list[int]:
         """Processes that dominate everyone: ``(i, j) ∈ G`` for all j.

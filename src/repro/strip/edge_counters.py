@@ -32,7 +32,9 @@ from __future__ import annotations
 
 from typing import Sequence
 
-from repro.strip.distance_graph import DistanceGraph
+from repro.strip.distance_graph import DistanceGraph, longest_paths
+
+_NEG_INF = float("-inf")
 
 
 class IllFormedCounters(ValueError):
@@ -43,27 +45,115 @@ def cycle_size(K: int) -> int:
     return 3 * K
 
 
+class CounterGraph:
+    """The paper's ``make_graph`` of one view's edge rows, with its queries.
+
+    ``W[i][j]`` is the weight of edge i→j, or ``None`` when absent;
+    ``edges`` lists the same edges as ``(src, dst, weight)`` triples; and
+    ``leaders`` holds, in ascending order, the pids that dominate everyone
+    (an edge to every other pid).  Construction raises
+    :class:`IllFormedCounters` on an ambiguous pair.  The distance queries
+    and ``inc_row`` are computed on first use and cached; they raise
+    ``ValueError`` on a positive cycle and then cache nothing.
+
+    An instance never changes an answer once given, so it may be shared
+    across lanes and calls (the fused lanes keep one per rows tuple):
+    callers never mutate ``rows``, ``W``, ``edges`` or a returned
+    distance list.
+    """
+
+    __slots__ = ("rows", "n", "K", "W", "edges", "leaders", "_from", "_to", "_inc")
+
+    def __init__(self, rows: Sequence[Sequence[int]], K: int):
+        n = len(rows)
+        size = cycle_size(K)
+        W: list[list[int | None]] = [[None] * n for _ in range(n)]
+        edges = []
+        for i in range(n):
+            row_i = rows[i]
+            Wi = W[i]
+            for j in range(i + 1, n):
+                d_ij = (row_i[j] - rows[j][i]) % size
+                if d_ij == 0:
+                    Wi[j] = 0
+                    W[j][i] = 0
+                    edges.append((i, j, 0))
+                    edges.append((j, i, 0))
+                    continue
+                d_ji = size - d_ij
+                if d_ij < d_ji:
+                    Wi[j] = d_ij
+                    edges.append((i, j, d_ij))
+                elif d_ji < d_ij:
+                    W[j][i] = d_ji
+                    edges.append((j, i, d_ji))
+                else:
+                    raise IllFormedCounters(
+                        f"pair ({i},{j}): counters {row_i[j]}, {rows[j][i]} "
+                        f"decode ambiguously (d = {d_ij} both ways, cycle {size})"
+                    )
+        self.rows = rows
+        self.n = n
+        self.K = K
+        self.W = W
+        self.edges = edges
+        # A leader's row is None only on its diagonal.
+        self.leaders = tuple(i for i in range(n) if W[i].count(None) == 1)
+        self._from: list[list[float] | None] = [None] * n
+        self._to: list[list[float] | None] = [None] * n
+        self._inc: list[tuple[int, ...] | None] = [None] * n
+
+    def dists_from(self, i: int) -> list[float]:
+        """``dist(i, k)`` for every k: maximum path weight out of i."""
+        dist = self._from[i]
+        if dist is None:
+            dist = self._from[i] = longest_paths(self.edges, self.n, i, True)
+        return dist
+
+    def dists_to(self, i: int) -> list[float]:
+        """``dist(k, i)`` for every k: maximum path weight into i."""
+        dist = self._to[i]
+        if dist is None:
+            dist = self._to[i] = longest_paths(self.edges, self.n, i, False)
+        return dist
+
+    def inc_row(self, i: int) -> tuple[int, ...]:
+        """The paper's ``inc_graph``: process i's new counter row.
+
+        ``rows[i]`` is taken as i's own row.  ``e_i[j]`` is incremented
+        (mod 3K) iff the sequential ``inc(i, G)`` move would act on the
+        pair ``{i, j}``: j is ahead and its edge ``(j, i)`` lies on a
+        maximum path into i (i closes the gap), or i is ahead of j with an
+        unsaturated weight (i pushes further ahead).
+        """
+        row = self._inc[i]
+        if row is None:
+            W = self.W
+            K = self.K
+            size = cycle_size(K)
+            dists_to_i = self.dists_to(i)
+            new = list(self.rows[i])
+            for j in range(self.n):
+                if j == i:
+                    continue
+                w_ji = W[j][i]
+                # Edge (j, i) lies on a maximum path k -> i iff
+                # dist(k, j) + w(j, i) = dist(k, i) with dist(k, j) finite.
+                closes_gap = w_ji is not None and any(
+                    d_kj != _NEG_INF and d_kj + w_ji == d_ki
+                    for d_kj, d_ki in zip(self.dists_to(j), dists_to_i)
+                )
+                w_ij = W[i][j]
+                if closes_gap or (w_ij is not None and w_ij < K):
+                    new[j] = (new[j] + 1) % size
+            row = self._inc[i] = tuple(new)
+        return row
+
+
 def decode_graph(rows: Sequence[Sequence[int]], K: int) -> DistanceGraph:
     """The paper's ``make_graph``: counters → distance graph."""
-    n = len(rows)
-    size = cycle_size(K)
-    graph = DistanceGraph(n, K)
-    for i in range(n):
-        for j in range(i + 1, n):
-            d_ij = (rows[i][j] - rows[j][i]) % size
-            d_ji = (rows[j][i] - rows[i][j]) % size
-            if d_ij == 0:
-                graph.weights[(i, j)] = 0
-                graph.weights[(j, i)] = 0
-            elif d_ij < d_ji:
-                graph.weights[(i, j)] = d_ij
-            elif d_ji < d_ij:
-                graph.weights[(j, i)] = d_ji
-            else:
-                raise IllFormedCounters(
-                    f"pair ({i},{j}): counters {rows[i][j]}, {rows[j][i]} "
-                    f"decode ambiguously (d = {d_ij} both ways, cycle {size})"
-                )
+    graph = DistanceGraph(len(rows), K)
+    graph.weights = {(u, v): w for u, v, w in CounterGraph(rows, K).edges}
     return graph
 
 
@@ -72,24 +162,9 @@ def inc_counters(i: int, rows: Sequence[Sequence[int]], K: int) -> list[int]:
 
     ``rows`` is a (scanned) view of all processes' rows; only row ``i`` is
     recomputed — the caller writes it back as part of its single-writer
-    cell.  ``e_i[j]`` is incremented (mod 3K) iff the sequential
-    ``inc(i, G)`` move would act on the pair ``{i, j}``.
+    cell.  See :meth:`CounterGraph.inc_row`.
     """
-    n = len(rows)
-    size = cycle_size(K)
-    graph = decode_graph(rows, K)
-    dists_to_i = graph.all_dists_to(i)
-    row = list(rows[i])
-    for j in range(n):
-        if j == i:
-            continue
-        closes_gap = graph.has_edge(j, i) and graph.edge_on_max_path_to(
-            j, i, dists_to_i
-        )
-        pushes_ahead = graph.has_edge(i, j) and graph.weight(i, j) < K
-        if closes_gap or pushes_ahead:
-            row[j] = (row[j] + 1) % size
-    return row
+    return list(CounterGraph(rows, K).inc_row(i))
 
 
 class EdgeCounters:

@@ -12,6 +12,7 @@ import pytest
 from repro.batch import LaneSpec, engine, run_lanes
 from repro.consensus import AdsConsensus
 from repro.runtime import RandomScheduler
+from repro.strip.edge_counters import CounterGraph, IllFormedCounters
 
 SEEDS = range(12)
 
@@ -82,7 +83,7 @@ def test_lane_wider_than_a_byte_falls_back_before_priming(monkeypatch):
     def primed(*args):
         raise AssertionError("lane primed before its size was checked")
 
-    monkeypatch.setattr(engine._Lane, "_inc_row", primed)
+    monkeypatch.setattr(engine._Lane, "_graph", primed)
     (lane,) = run_lanes([LaneSpec(inputs=(0, 1) * 128, seed=0)])
     assert lane.fallback == "fast path needs n <= 255"
 
@@ -109,6 +110,46 @@ def test_exhausted_budget_falls_back():
     # A sibling lane with a real budget is untouched by the fallback.
     strict, healthy = run_lanes([lane_spec(3, 0, max_steps=10), lane_spec(3, 0)])
     assert strict.fallback is not None
+    assert healthy.fallback is None
+    assert healthy.total_steps == serial_run(healthy.spec.inputs, 0).total_steps
+
+
+def seed_edge_rows(monkeypatch, rows_by_seed):
+    """Build each lane whose seed is in ``rows_by_seed`` with every cell and
+    V register holding those edge rows, so every protocol step it takes
+    decodes them (no process can advance its row past them)."""
+    build = engine._Lane
+
+    def seeded(spec, caches, record):
+        lane = build(spec, caches, record)
+        for pid, row in enumerate(rows_by_seed.get(spec.seed, ())):
+            cell = (spec.inputs[pid], (0,) * (engine.K + 1), 1, row)
+            lane.cells[pid] = cell
+            lane.V[pid] = (cell, 0)
+        return lane
+
+    monkeypatch.setattr(engine, "_Lane", seeded)
+
+
+def test_shared_core_errors_become_fallback_reasons(monkeypatch):
+    ill_formed = ((0, 3, 0), (0, 0, 0), (0, 0, 0))  # d = 3K/2 both ways
+    with pytest.raises(IllFormedCounters) as decode_error:
+        CounterGraph(ill_formed, engine.K)
+    # A positive cycle 0 -> 1 -> 2 -> 0 decodes, but has no leaders, so
+    # the error surfaces only once a coin-decided round reaches inc_row.
+    cycle = ((0, 1, 0), (0, 0, 1), (1, 0, 0))
+    with pytest.raises(ValueError, match="positive cycle") as cycle_error:
+        CounterGraph(cycle, engine.K).inc_row(0)
+    seed_edge_rows(monkeypatch, {101: ill_formed, 102: cycle})
+    bad_decode, bad_cycle, healthy = run_lanes(
+        [
+            LaneSpec(inputs=(0, 1, 0), seed=101),
+            LaneSpec(inputs=(0, 1, 0), seed=102),
+            lane_spec(3, 0),
+        ]
+    )
+    assert bad_decode.fallback == str(decode_error.value)
+    assert bad_cycle.fallback == str(cycle_error.value)
     assert healthy.fallback is None
     assert healthy.total_steps == serial_run(healthy.spec.inputs, 0).total_steps
 

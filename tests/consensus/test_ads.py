@@ -8,7 +8,8 @@ from repro.consensus.interface import BOTTOM
 from repro.faults.plan import FaultPlan
 from repro.obs.metrics import MetricsRegistry
 from repro.runtime import RoundRobinScheduler, SplitAdversary
-from repro.strip import decode_graph
+from repro.strip import decode_graph, inc_counters
+from repro.strip.edge_counters import CounterGraph
 
 
 def test_unanimous_inputs_decide_that_value_fast():
@@ -123,6 +124,21 @@ def test_final_cells_decode_to_legal_graph():
     from repro.strip import check_graph_invariants
 
     assert check_graph_invariants(graph) == []
+
+
+def test_inc_steps_from_the_cells_own_row_not_the_scanned_copy():
+    # A fault can corrupt a process's published row, so the scanned copy of
+    # its own row may differ from its cell; ``_inc`` steps from the cell's
+    # row, as ``inc_counters`` does on the rows with that row patched in.
+    proto = AdsConsensus()
+    proto.run([0, 1, 0], seed=0)  # binds the metrics and per-pid counters
+    rows = [(0, 2, 2), (1, 0, 1), (0, 0, 0)]
+    scanned = CounterGraph(((0, 2, 2), (0, 0, 1), (0, 0, 0)), proto.K)
+    cell = AdsCell(pref=1, coins=(0, 0, 0), current_coin=0, edges=rows[1])
+    expected = inc_counters(1, rows, proto.K)
+    assert expected == [2, 0, 2]
+    assert scanned.inc_row(1) == (1, 0, 2)  # what the corrupted copy gives
+    assert list(proto._inc(1, cell, scanned).edges) == expected
 
 
 def test_decided_processes_stop_taking_steps():

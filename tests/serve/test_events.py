@@ -53,9 +53,27 @@ def client(server):
     return ServeClient(server.url)
 
 
-def test_full_stream_has_accepted_progress_and_one_terminal(server, client):
-    job = client.submit("sweep", SWEEP_PARAMS)
-    events = list(client.stream_events(job["id"], timeout=60))
+def test_full_stream_has_accepted_progress_and_one_terminal(tmp_path):
+    # The dispatcher starts only once the stream has subscribed: a job
+    # that ends before the subscription streams just ``accepted`` and
+    # ``done``, by design, and fused lanes finish this one in milliseconds.
+    srv = build_server(
+        port=0, state_dir=str(tmp_path / "state"), workers=1, heartbeat=0.1
+    )
+    thread = threading.Thread(target=srv.serve_forever, daemon=True)
+    thread.start()
+    try:
+        client = ServeClient(srv.url)
+        job = client.submit("sweep", SWEEP_PARAMS)
+        stream = client.stream_events(job["id"], timeout=60)
+        first = next(stream)
+        assert first["event"] == "accepted"
+        assert first["data"]["state"] == "QUEUED"
+        srv.start()
+        events = [first, *stream]
+    finally:
+        srv.stop()
+        thread.join(timeout=5)
     names = [e["event"] for e in events]
     assert names[0] == "accepted"
     assert events[0]["data"]["id"] == job["id"]

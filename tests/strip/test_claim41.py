@@ -7,7 +7,9 @@ For any play of the game, three state machines must stay in lock-step:
 3. the mod-3K edge-counter representation under ``inc_counters``.
 
 After every single move, the distance graphs derived from all three must be
-identical, and the §4.2 invariants must hold.
+identical, and the §4.2 invariants must hold.  The shared decoder both
+interpreters use (``CounterGraph``) is also held to the game's positions
+directly, an oracle that runs no longest-path relaxation.
 """
 
 from hypothesis import given, settings, strategies as st
@@ -18,6 +20,26 @@ from repro.strip import (
     ShrunkenTokenGame,
     check_graph_invariants,
 )
+from repro.strip.edge_counters import CounterGraph
+
+NEG_INF = float("-inf")
+
+
+def assert_decoder_matches_positions(rows, positions, K):
+    """Property 5 and the leader set, read off the game: ``dist(i, j)`` is
+    ``r_i - r_j`` when i is at or ahead of j, and no path exists when i
+    is behind; the leaders hold the top position."""
+    decoder = CounterGraph(rows, K)
+    n = len(positions)
+    for i in range(n):
+        dists_from, dists_to = decoder.dists_from(i), decoder.dists_to(i)
+        for j in range(n):
+            gap = positions[i] - positions[j]
+            assert dists_from[j] == (gap if gap >= 0 else NEG_INF), (i, j, positions)
+            assert dists_to[j] == (-gap if gap <= 0 else NEG_INF), (i, j, positions)
+    top = max(positions)
+    assert decoder.leaders == tuple(i for i, p in enumerate(positions) if p == top)
+
 
 plays = st.tuples(
     st.integers(min_value=2, max_value=5),  # processes
@@ -47,6 +69,7 @@ def test_game_graph_and_counters_stay_equivalent(play):
             f"counter inc diverged after move {mover}: "
             f"positions={game.positions}"
         )
+        assert_decoder_matches_positions(counters.rows, game.positions, K)
 
 
 @settings(max_examples=60, deadline=None)
