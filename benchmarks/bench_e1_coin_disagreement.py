@@ -13,6 +13,7 @@ from repro.analysis.experiment import repeat_runs
 from repro.analysis.stats import wilson_interval
 from repro.analysis.theory import e1_disagreement_bound
 from repro.coin import BoundedWalkSharedCoin, coin_flipper_program
+from repro.resilience import RunPlan
 from repro.runtime import RandomScheduler, Simulation, WalkBalancingAdversary
 from repro.runtime.adversary import CoinDisagreementAdversary
 
@@ -49,7 +50,7 @@ def run_experiment(workers=None):
                 flags = repeat_runs(
                     lambda seed: float(toss(N, b, seed, label)),
                     range(REPS),
-                    workers=workers,
+                    RunPlan(workers=workers),
                 )
                 disagreements = int(sum(flags))
                 rate, low, high = wilson_interval(disagreements, REPS)
@@ -73,7 +74,7 @@ def run_experiment(workers=None):
         lambda w: repeat_runs(
             lambda seed: float(toss(N, 8, seed, "walk-balancing")),
             range(PROBE_REPS),
-            workers=w,
+            RunPlan(workers=w),
         ),
         workers=4,
     )

@@ -14,6 +14,7 @@ from repro.analysis.experiment import repeat_runs
 from repro.analysis.stats import growth_exponent
 from repro.analysis.theory import e2_expected_flips
 from repro.coin import BoundedWalkSharedCoin, coin_flipper_program
+from repro.resilience import RunPlan
 from repro.runtime import RandomScheduler, Simulation, WalkBalancingAdversary
 
 B = 2
@@ -50,7 +51,7 @@ def _run_tables(workers, results):
             samples = repeat_runs(
                 lambda seed: flips_for(n, seed, adversarial),
                 range(REPS),
-                workers=workers,
+                RunPlan(workers=workers),
             )
             mean = statistics.mean(samples)
             means.append(mean)

@@ -13,6 +13,7 @@ from repro.analysis.stats import wilson_interval
 from repro.analysis.theory import e3_overflow_bound
 from repro.coin import BoundedWalkSharedCoin, coin_flipper_program
 from repro.coin.logic import default_m
+from repro.resilience import RunPlan
 from repro.runtime import RandomScheduler, Simulation
 
 N = 3
@@ -40,7 +41,9 @@ def _run_table(workers):
     rows = []
     for m in m_values:
         flags = repeat_runs(
-            lambda seed: toss_overflows(N, B, m, seed), range(REPS), workers=workers
+            lambda seed: toss_overflows(N, B, m, seed),
+            range(REPS),
+            RunPlan(workers=workers),
         )
         overflows = sum(flags)
         rate, _, high = wilson_interval(overflows, REPS)

@@ -16,6 +16,7 @@ from _common import bench_timer, bench_workers, record, reset
 from repro.analysis.experiment import repeat_runs
 from repro.analysis.stats import growth_exponent
 from repro.consensus import AdsConsensus, validate_run
+from repro.resilience import RunPlan
 from repro.runtime import RandomScheduler
 from repro.runtime.adversary import LockstepAdversary
 
@@ -50,7 +51,7 @@ def _run_tables(workers, results):
             samples = repeat_runs(
                 lambda seed: rounds_for(n, seed, lockstep),
                 range(REPS),
-                workers=workers,
+                RunPlan(workers=workers),
             )
             mean = statistics.mean(samples)
             means.append(mean)

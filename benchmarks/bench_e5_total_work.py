@@ -19,6 +19,7 @@ from repro.analysis.charts import log_series_chart
 from repro.analysis.experiment import repeat_runs
 from repro.analysis.stats import doubling_ratio, growth_exponent
 from repro.consensus import AdsConsensus, LocalCoinConsensus, validate_run
+from repro.resilience import RunPlan
 from repro.runtime.adversary import LockstepAdversary
 
 N_VALUES = (3, 4, 5, 6, 7, 8)
@@ -48,13 +49,12 @@ def _run_table(workers):
     rows = []
     ads_steps, local_steps, local_rounds = [], [], []
     for n in N_VALUES:
+        plan = RunPlan(workers=workers)
         ads = repeat_runs(
-            lambda seed: measure(AdsConsensus, n, seed), range(REPS), workers=workers
+            lambda seed: measure(AdsConsensus, n, seed), range(REPS), plan
         )
         local = repeat_runs(
-            lambda seed: measure(LocalCoinConsensus, n, seed),
-            range(REPS),
-            workers=workers,
+            lambda seed: measure(LocalCoinConsensus, n, seed), range(REPS), plan
         )
         ads_mean = statistics.mean(s for s, _ in ads)
         local_mean = statistics.mean(s for s, _ in local)

@@ -1,18 +1,18 @@
 """Seeded experiment execution: repetitions and parameter sweeps.
 
-Both entry points accept a ``workers`` count and fan their replications
-out through :mod:`repro.parallel`.  Each replication derives all of its
-randomness from its own seed, so the parallel path returns results
-bit-identical to the serial loop — same seeds, same outputs, any worker
-count (see ``docs/performance.md``).
+Both entry points take a :class:`~repro.resilience.RunPlan` and fan
+their replications out through :mod:`repro.parallel` as it says.  Each
+replication derives all of its randomness from its own seed, so the
+parallel path returns results bit-identical to the serial loop — same
+seeds, same outputs, any worker count (see ``docs/performance.md``).
 
-Both also accept a :class:`~repro.obs.ledger.RunLedger`: every
-replication is then content-addressed by (seed, cell config, code
-version), replications whose fingerprint the ledger already holds are
-served from it instead of recomputed (cache hits — disable with the
-ledger's ``use_cache=False``), and fresh results are appended
-*parent-side in submission order* as they arrive, so the ledger bytes are
-identical at any worker count.
+With a :class:`~repro.obs.ledger.RunLedger` in the plan, every
+replication is content-addressed by (seed, cell config, code version),
+replications whose fingerprint the ledger already holds are served from
+it instead of recomputed (cache hits — disable with the ledger's
+``use_cache=False``), and fresh results are appended *parent-side in
+submission order* as they arrive, so the ledger bytes are identical at
+any worker count.
 """
 
 from __future__ import annotations
@@ -24,8 +24,8 @@ from repro.analysis.stats import Summary, summarize
 from repro.parallel import ParallelExecutionError
 
 if TYPE_CHECKING:  # pragma: no cover
-    from repro.obs.ledger import LedgerRecord, RunLedger
-    from repro.resilience.policy import FailurePolicy
+    from repro.obs.ledger import LedgerRecord
+    from repro.resilience import RunPlan
 
 
 def _decode_value(record: "LedgerRecord") -> float | None:
@@ -37,11 +37,10 @@ def _collect_samples(
     run_task: Callable[[Any], float],
     tasks: Sequence[Any],
     cells: "Sequence[tuple[int, Mapping[str, Any]]]",
-    ledger: "RunLedger | None",
+    plan: "RunPlan | None",
     experiment: str,
-    **engine: Any,
 ) -> list[float]:
-    """Run tasks in one engine call, through the ledger when one is given.
+    """Run tasks in one engine call, through the plan's ledger if any.
 
     ``cells[i] = (seed, config)`` is task ``i``'s content address: cached
     cells are served from the ledger, fresh ones checkpoint incrementally
@@ -49,18 +48,17 @@ def _collect_samples(
     valid ledger prefix behind, and the re-run recomputes only the
     missing fingerprints.  A terminally lost replication raises.
     """
-    from repro.resilience.checkpoint import run_checkpointed
+    from repro.resilience.checkpoint import RunPlan, run_checkpointed
 
     values, partial, _ = run_checkpointed(
         run_task,
         tasks,
-        ledger,
         cells,
+        plan or RunPlan(),
         kind="sweep",
         experiment=experiment,
         decode=_decode_value,
         encode=lambda value: {"value": value},
-        **engine,
     )
     if partial.errors:
         raise ParallelExecutionError(partial.errors)
@@ -70,45 +68,29 @@ def _collect_samples(
 def repeat_runs(
     run_once: Callable[[int], float],
     seeds: Iterable[int],
-    workers: int | None = None,
-    progress: Callable[[int, int], None] | None = None,
+    plan: "RunPlan | None" = None,
     *,
-    ledger: "RunLedger | None" = None,
     experiment: str = "",
     config: Mapping[str, Any] | None = None,
-    policy: "FailurePolicy | None" = None,
-    task_timeout: float | None = None,
-    batch_size: int | None = None,
 ) -> list[float]:
     """Execute ``run_once(seed)`` for every seed; collect the metric.
 
-    ``workers`` > 1 distributes the seeds across a process pool; results
-    come back in seed order either way.  ``progress(done, total)`` is
-    called in the parent as replications complete.  With a ``ledger``,
-    each seed's result is content-addressed by (seed, ``config`` +
-    ``experiment`` label, code version): known fingerprints are cache
-    hits (not recomputed), fresh ones checkpoint incrementally in seed
-    order.  ``policy``/``task_timeout`` flow to the engine (a replication
-    that is terminally lost raises — silently dropping samples would skew
-    the statistics).  ``batch_size`` (default: the ``REPRO_BATCH``
-    environment variable) sets how many seeds the engine dispatches per
-    unit.  When ``run_once`` carries ``batch_lane``/``batch_value`` hooks
-    (see :mod:`repro.batch`), seeds always run as fused lanes; results
-    are bit-identical at any batch size.
+    ``plan`` says how (default: serial, or ``REPRO_WORKERS``, with no
+    ledger): its workers share the seeds out, and results come back in
+    seed order either way.  With a ledger in the plan, each seed's result
+    is content-addressed by (seed, ``config`` + ``experiment`` label,
+    code version): known fingerprints are cache hits (not recomputed),
+    fresh ones checkpoint incrementally in seed order.  A replication
+    that is terminally lost raises, whatever the plan's policy — silently
+    dropping samples would skew the statistics.  When ``run_once``
+    carries ``batch_lane``/``batch_value`` hooks (see :mod:`repro.batch`),
+    seeds always run as fused lanes; results are bit-identical at any
+    batch size.
     """
     seeds = list(seeds)
     base = {"experiment": experiment, **dict(config or {})}
     return _collect_samples(
-        run_once,
-        seeds,
-        [(seed, base) for seed in seeds],
-        ledger,
-        experiment,
-        workers=workers,
-        progress=progress,
-        policy=policy,
-        task_timeout=task_timeout,
-        batch_size=batch_size,
+        run_once, seeds, [(seed, base) for seed in seeds], plan, experiment
     )
 
 
@@ -146,20 +128,20 @@ class SweepPoint:
 class Sweep:
     """A one-dimensional parameter sweep with repetitions per point.
 
+    The sweep holds only its cells; :meth:`execute` takes the
+    :class:`~repro.resilience.RunPlan` that says how they run.
+
     Args:
         parameter: name of the swept parameter.
         values: the values it takes.
         run_once: ``run_once(value, seed) -> metric``.
         repetitions: seeds 0..repetitions-1 are used per point (offset by
             ``seed_base`` so different experiments never share streams).
-        workers: default process count for :meth:`execute` (``None`` →
-            serial unless ``REPRO_WORKERS`` is set).
-        ledger: optional :class:`~repro.obs.ledger.RunLedger`; every
-            (value, seed) cell is then content-addressed under
-            ``experiment`` + ``config`` + the swept parameter value, with
-            cache hits served from the ledger and fresh cells recorded
-            parent-side in submission order (byte-identical at any
-            worker count).
+        experiment, config: with a ledger in the plan, every (value,
+            seed) cell is content-addressed under ``experiment`` +
+            ``config`` + the swept parameter value, with cache hits
+            served from the ledger and fresh cells recorded parent-side
+            in submission order (byte-identical at any worker count).
     """
 
     parameter: str
@@ -167,37 +149,17 @@ class Sweep:
     run_once: Callable[[Any, int], float]
     repetitions: int = 10
     seed_base: int = 0
-    workers: int | None = None
-    ledger: "RunLedger | None" = None
     experiment: str = ""
     config: Mapping[str, Any] | None = None
-    #: Optional engine resilience knobs (fail-fast / retry policies only;
-    #: a terminally lost replication raises rather than skewing stats).
-    policy: "FailurePolicy | None" = None
-    task_timeout: float | None = None
-    #: Optional :class:`~repro.obs.metrics.MetricsRegistry` the engine
-    #: records its dispatch shape and resilience counters into.
-    metrics: Any = None
-    #: Cells per dispatched unit (``None`` → the ``REPRO_BATCH``
-    #: environment variable, unset letting the engine work the unit size
-    #: out).  Cells whose ``run_once`` carries ``batch_lane``/
-    #: ``batch_value`` hooks always go through the fused struct-of-arrays
-    #: interpreter; everything else runs through ``run_once``.  Results
-    #: and ledger bytes are identical at any batch size.
-    batch_size: int | None = None
 
-    def execute(
-        self,
-        workers: int | None = None,
-        progress: Callable[[int, int], None] | None = None,
-        batch_size: int | None = None,
-    ) -> list[SweepPoint]:
-        """Run every (value, seed) cell in one engine call.
+    def execute(self, plan: "RunPlan | None" = None) -> list[SweepPoint]:
+        """Run every (value, seed) cell in one engine call under ``plan``.
 
         The full cross product is submitted as one task list (better pool
         utilisation than per-point batches when repetitions are few), then
         regrouped by point in value order — output is identical to the
-        serial nested loop for any worker count and batch size.
+        serial nested loop for any worker count and batch size.  A
+        terminally lost cell raises, whatever the plan's policy.
         """
         tasks = [
             (value, self.seed_base + rep)
@@ -209,14 +171,8 @@ class Sweep:
             _CellTask(self.run_once),
             tasks,
             [(seed, {**base, self.parameter: value}) for value, seed in tasks],
-            self.ledger,
+            plan,
             self.experiment,
-            workers=self.workers if workers is None else workers,
-            progress=progress,
-            metrics=self.metrics,
-            policy=self.policy,
-            task_timeout=self.task_timeout,
-            batch_size=self.batch_size if batch_size is None else batch_size,
         )
         points = []
         for i, value in enumerate(self.values):

@@ -85,7 +85,7 @@ from repro.runtime import (
 from repro.obs.export import export_trace
 from repro.runtime.timeline import render_timeline
 from repro.strip import DistanceGraph, EdgeCounters, ShrunkenTokenGame
-from repro.workloads import PROTOCOLS, make_scheduler as _make_scheduler
+from repro.workloads import PROTOCOLS, SCHEDULERS, make_scheduler as _make_scheduler
 
 EXPERIMENTS = {
     "e1": "Lemma 3.1 — coin disagreement probability vs b",
@@ -214,6 +214,27 @@ def _resilience_policy(args):
     return FailurePolicy.retry(
         max_attempts=args.retries + 1,
         backoff=RetryBackoff(base=args.retry_backoff, seed=seed),
+    )
+
+
+def _print_progress(done: int, total: int) -> None:
+    print(f"\r{done}/{total} runs", end="", file=sys.stderr, flush=True)
+
+
+def _run_plan(args, metrics=None):
+    """The :class:`~repro.resilience.RunPlan` of a campaign command, built
+    once from the flags of :func:`_add_run_plan_args` (plus ``--progress``
+    where the command has it) and shared by every stage it runs."""
+    from repro.resilience import RunPlan
+
+    return RunPlan(
+        workers=args.workers,
+        batch_size=args.batch,
+        policy=_resilience_policy(args),
+        task_timeout=args.task_timeout or None,
+        metrics=metrics,
+        progress=_print_progress if getattr(args, "progress", False) else None,
+        ledger=_open_ledger(args),
     )
 
 
@@ -548,22 +569,23 @@ def cmd_chaos(args) -> int:
 
     from repro.faults.campaign import run_mutation_campaign
     from repro.obs.metrics import MetricsRegistry
+    from repro.parallel import resolve_workers
     from repro.verify.fuzz import fuzz_consensus
 
-    ledger = _open_ledger(args)
-    policy = _resilience_policy(args)
     registry = MetricsRegistry(enabled=True)
+    plan = _run_plan(args, metrics=registry)
+    ledger = plan.ledger
     task_wrapper = None
     crash_dir = None
     if args.inject_worker_crash:
         # A CrashOnce SIGKILL in the serial path would kill *this* process,
         # and without retries the murdered cell is simply lost — refuse the
         # combinations that cannot demonstrate anything.
-        if (args.workers or 0) < 2 or policy is None:
+        if resolve_workers(plan.workers) < 2 or plan.policy is None:
             print(
-                "chaos: --inject-worker-crash needs --workers >= 2 and "
-                "--retries >= 1 (the killed worker's task must be "
-                "re-dispatchable)"
+                "chaos: --inject-worker-crash needs two or more workers "
+                "(--workers or REPRO_WORKERS; 0 = all CPUs) and --retries "
+                ">= 1 (the killed worker's task must be re-dispatchable)"
             )
             return 2
         from repro.resilience import CrashOnce
@@ -574,14 +596,9 @@ def cmd_chaos(args) -> int:
 
     campaign = run_mutation_campaign(
         seed=args.seed,
-        workers=args.workers,
-        ledger=ledger,
+        plan=plan,
         experiment="chaos:campaign",
-        policy=policy,
-        task_timeout=args.task_timeout or None,
-        metrics=registry,
         task_wrapper=task_wrapper,
-        batch_size=args.batch,
     )
     columns = ("fault", "layer", "checker", "injections", "detected", "expected", "ok")
     rows = [{k: row[k] for k in columns} for row in campaign.to_rows()]
@@ -598,14 +615,9 @@ def cmd_chaos(args) -> int:
         crash_probability=1.0,
         recovery_probability=1.0,
         master_seed=args.seed,
-        workers=args.workers,
-        ledger=ledger,
+        plan=plan,
         experiment="chaos:recovery",
-        policy=policy,
-        task_timeout=args.task_timeout or None,
-        metrics=registry,
         task_wrapper=task_wrapper,
-        batch_size=args.batch,
     )
     print(f"crash-recovery fuzz : {recovery.summary()}")
     for failure in recovery.failures:
@@ -618,14 +630,9 @@ def cmd_chaos(args) -> int:
         crash_probability=0.0,
         fault_probability=1.0,
         master_seed=args.seed,
-        workers=args.workers,
-        ledger=ledger,
+        plan=plan,
         experiment="chaos:faults",
-        policy=policy,
-        task_timeout=args.task_timeout or None,
-        metrics=registry,
         task_wrapper=task_wrapper,
-        batch_size=args.batch,
     )
     print(f"fault-injection fuzz: {faults.summary()}")
     if crash_dir is not None:
@@ -696,11 +703,7 @@ def cmd_sweep(args) -> int:
 
     n_values = _parse_inputs(args.n_values)
     metric = args.metric
-
-    def progress(done: int, total: int) -> None:
-        print(f"\r{done}/{total} runs", end="", file=sys.stderr, flush=True)
-
-    ledger = _open_ledger(args)
+    plan = _run_plan(args)
     # build_sweep is the single definition of the sweep's cells: the serve
     # dispatcher calls it too, so HTTP-submitted sweeps write ledger bytes
     # identical to this command's.
@@ -712,14 +715,8 @@ def cmd_sweep(args) -> int:
         scheduler=args.scheduler,
         metric=metric,
         max_steps=args.max_steps,
-        ledger=ledger,
-        policy=_resilience_policy(args),
-        task_timeout=args.task_timeout or None,
-        batch_size=args.batch,
     )
-    points = sweep.execute(
-        workers=args.workers, progress=progress if args.progress else None
-    )
+    points = sweep.execute(plan)
     if args.progress:
         print(file=sys.stderr)
     print(
@@ -732,6 +729,7 @@ def cmd_sweep(args) -> int:
             ),
         )
     )
+    ledger = plan.ledger
     if ledger is not None:
         print(
             f"ledger    : {len(ledger)} records in {ledger.path} "
@@ -1171,8 +1169,36 @@ def cmd_serve(args) -> int:
     return 0
 
 
-def _add_resilience_args(parser: argparse.ArgumentParser) -> None:
-    """Flags for the campaign resilience layer (``repro.resilience``)."""
+def _add_run_plan_args(
+    parser: argparse.ArgumentParser, campaign: bool = True
+) -> None:
+    """The engine flags of ``sweep``, ``chaos`` and ``serve``.
+
+    A ``campaign`` command (``sweep``, ``chaos``) also gets ``--batch``,
+    the ledger flags and ``--resume``, and builds its
+    :class:`~repro.resilience.RunPlan` from all of them with
+    :func:`_run_plan`; ``serve`` hands the shared four to its dispatcher,
+    which keeps one plan for the server's lifetime.
+    """
+    parser.add_argument(
+        "--workers",
+        type=_workers_arg,
+        default=None,
+        metavar="N",
+        help="worker processes (default serial; 0 = all CPUs; results "
+        "identical at any count)",
+    )
+    if campaign:
+        parser.add_argument(
+            "--batch",
+            type=_batch_arg,
+            default=None,
+            metavar="N",
+            help="cells dispatched per unit (default REPRO_BATCH, else "
+            "worked out); ADS sweep cells under the random scheduler always "
+            "run as fused struct-of-arrays lanes, and results and ledger "
+            "bytes are identical at any batch size",
+        )
     parser.add_argument(
         "--retries",
         type=int,
@@ -1180,7 +1206,7 @@ def _add_resilience_args(parser: argparse.ArgumentParser) -> None:
         metavar="N",
         help="re-dispatch a failed/killed task up to N times with seeded "
         "exponential backoff (retried tasks re-run from their original "
-        "seed, so results stay bit-identical; default 0 = fail fast)",
+        "seed, so results stay bit-identical; default 0 = no retries)",
     )
     parser.add_argument(
         "--retry-backoff",
@@ -1199,6 +1225,9 @@ def _add_resilience_args(parser: argparse.ArgumentParser) -> None:
         "and the task counts as a timeout (needs --workers >= 2; "
         "0 = no deadline)",
     )
+    if not campaign:
+        return
+    _add_ledger_args(parser)
     parser.add_argument(
         "--resume",
         default="",
@@ -1208,6 +1237,18 @@ def _add_resilience_args(parser: argparse.ArgumentParser) -> None:
         "fingerprints are recomputed (implies --ledger PATH with "
         "caching forced on)",
     )
+
+
+def _add_single_run_args(
+    parser: argparse.ArgumentParser, inputs: str = "0,1,0,1"
+) -> None:
+    """The flags naming one consensus run (``run``, ``metrics``,
+    ``trace``, ``report``)."""
+    parser.add_argument("--protocol", choices=sorted(PROTOCOLS), default="ads")
+    parser.add_argument("--inputs", default=inputs, help="comma-separated bits")
+    parser.add_argument("--seed", type=int, default=0)
+    parser.add_argument("--scheduler", choices=SCHEDULERS, default="random")
+    parser.add_argument("--max-steps", type=int, default=50_000_000)
 
 
 def _add_ledger_args(parser: argparse.ArgumentParser, cache: bool = True) -> None:
@@ -1238,14 +1279,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     run = sub.add_parser("run", help="run one consensus execution")
-    run.add_argument("--protocol", choices=sorted(PROTOCOLS), default="ads")
-    run.add_argument("--inputs", default="0,1,0,1", help="comma-separated bits")
-    run.add_argument("--seed", type=int, default=0)
-    run.add_argument(
-        "--scheduler",
-        choices=["random", "round-robin", "split", "lockstep"],
-        default="random",
-    )
+    _add_single_run_args(run)
     run.add_argument(
         "--crash",
         action="append",
@@ -1260,7 +1294,6 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="PID[:STEP]",
         help="restart a crashed PID at STEP with local state lost (repeatable)",
     )
-    run.add_argument("--max-steps", type=int, default=50_000_000)
     run.add_argument("--timeline", action="store_true", help="print span timeline")
     run.add_argument("--timeline-rows", type=int, default=40)
     _add_ledger_args(run)
@@ -1269,15 +1302,7 @@ def build_parser() -> argparse.ArgumentParser:
     metrics = sub.add_parser(
         "metrics", help="run one execution and print its metrics snapshot"
     )
-    metrics.add_argument("--protocol", choices=sorted(PROTOCOLS), default="ads")
-    metrics.add_argument("--inputs", default="0,1,0,1", help="comma-separated bits")
-    metrics.add_argument("--seed", type=int, default=0)
-    metrics.add_argument(
-        "--scheduler",
-        choices=["random", "round-robin", "split", "lockstep"],
-        default="random",
-    )
-    metrics.add_argument("--max-steps", type=int, default=50_000_000)
+    _add_single_run_args(metrics)
     metrics.add_argument("--json", action="store_true", help="print snapshot as JSON")
     metrics.add_argument(
         "--filter", default="", help="only metrics whose name contains this substring"
@@ -1295,15 +1320,7 @@ def build_parser() -> argparse.ArgumentParser:
     trace = sub.add_parser(
         "trace", help="run one execution and export its trace for Perfetto"
     )
-    trace.add_argument("--protocol", choices=sorted(PROTOCOLS), default="ads")
-    trace.add_argument("--inputs", default="0,1,0,1", help="comma-separated bits")
-    trace.add_argument("--seed", type=int, default=0)
-    trace.add_argument(
-        "--scheduler",
-        choices=["random", "round-robin", "split", "lockstep"],
-        default="random",
-    )
-    trace.add_argument("--max-steps", type=int, default=50_000_000)
+    _add_single_run_args(trace)
     trace.add_argument(
         "--export",
         default="trace.json",
@@ -1351,30 +1368,13 @@ def build_parser() -> argparse.ArgumentParser:
         "--json", default="", metavar="PATH", help="also write a JSON report"
     )
     chaos.add_argument(
-        "--workers",
-        type=_workers_arg,
-        default=None,
-        metavar="N",
-        help="worker processes for campaign + fuzz cells "
-        "(default serial; 0 = all CPUs; results identical at any count)",
-    )
-    chaos.add_argument(
-        "--batch",
-        type=_batch_arg,
-        default=None,
-        metavar="N",
-        help="cells per dispatched unit (default REPRO_BATCH; results "
-        "identical at any batch size)",
-    )
-    chaos.add_argument(
         "--inject-worker-crash",
         action="store_true",
         help="chaos-test the harness itself: SIGKILL one worker "
         "mid-campaign and prove the retry path restores a bit-identical "
-        "result (needs --workers >= 2 and --retries >= 1)",
+        "result (needs two or more workers and --retries >= 1)",
     )
-    _add_ledger_args(chaos)
-    _add_resilience_args(chaos)
+    _add_run_plan_args(chaos)
     chaos.set_defaults(func=cmd_chaos)
 
     sweep = sub.add_parser(
@@ -1386,35 +1386,13 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sweep.add_argument("--reps", type=int, default=10, help="seeded runs per point")
     sweep.add_argument("--seed-base", type=int, default=0)
-    sweep.add_argument(
-        "--scheduler",
-        choices=["random", "round-robin", "split", "lockstep"],
-        default="random",
-    )
+    sweep.add_argument("--scheduler", choices=SCHEDULERS, default="random")
     sweep.add_argument("--metric", choices=["steps", "rounds"], default="steps")
     sweep.add_argument("--max-steps", type=int, default=50_000_000)
     sweep.add_argument(
-        "--workers",
-        type=_workers_arg,
-        default=None,
-        metavar="N",
-        help="worker processes (default serial; 0 = all CPUs)",
-    )
-    sweep.add_argument(
-        "--batch",
-        type=_batch_arg,
-        default=None,
-        metavar="N",
-        help="cells dispatched per unit (default REPRO_BATCH, else "
-        "worked out); ADS cells under the random scheduler always run as "
-        "fused struct-of-arrays lanes, and results and ledger bytes are "
-        "identical at any batch size",
-    )
-    sweep.add_argument(
         "--progress", action="store_true", help="tick run completion on stderr"
     )
-    _add_ledger_args(sweep)
-    _add_resilience_args(sweep)
+    _add_run_plan_args(sweep)
     sweep.set_defaults(func=cmd_sweep)
 
     bench = sub.add_parser(
@@ -1545,14 +1523,7 @@ def build_parser() -> argparse.ArgumentParser:
         default=8642,
         help="TCP port (0 = pick a free one, printed at startup)",
     )
-    serve.add_argument(
-        "--workers",
-        type=_workers_arg,
-        default=None,
-        metavar="N",
-        help="engine worker processes, shared by all jobs (default 1; "
-        "0 = all CPUs)",
-    )
+    _add_run_plan_args(serve, campaign=False)
     serve.add_argument(
         "--state-dir",
         default=".repro-serve",
@@ -1570,27 +1541,6 @@ def build_parser() -> argparse.ArgumentParser:
         default="",
         metavar="PATH",
         help="job event log (default: STATE_DIR/jobs.jsonl)",
-    )
-    serve.add_argument(
-        "--retries",
-        type=int,
-        default=0,
-        metavar="N",
-        help="per-cell retries with seeded backoff (default 0)",
-    )
-    serve.add_argument(
-        "--retry-backoff",
-        type=float,
-        default=0.05,
-        metavar="SECONDS",
-        help="base delay of the seeded retry backoff (default 0.05)",
-    )
-    serve.add_argument(
-        "--task-timeout",
-        type=float,
-        default=0.0,
-        metavar="SECONDS",
-        help="per-cell wall-clock deadline (0 = none; needs --workers >= 2)",
     )
     serve.add_argument(
         "--max-queued",
@@ -1661,15 +1611,7 @@ def build_parser() -> argparse.ArgumentParser:
         "series, causal critical path, baseline deltas) instead of "
         "printing tables",
     )
-    report.add_argument("--protocol", choices=sorted(PROTOCOLS), default="ads")
-    report.add_argument("--inputs", default="0,1,1", help="comma-separated bits")
-    report.add_argument("--seed", type=int, default=0)
-    report.add_argument(
-        "--scheduler",
-        choices=["random", "round-robin", "split", "lockstep"],
-        default="random",
-    )
-    report.add_argument("--max-steps", type=int, default=50_000_000)
+    _add_single_run_args(report, inputs="0,1,1")
     report.add_argument(
         "--series-every",
         type=int,

@@ -42,7 +42,7 @@ from repro.faults.plan import FAULT_KINDS, FaultPlan
 from repro.parallel import ParallelExecutionError
 from repro.registers.atomic import AtomicRegister
 from repro.registers.linearizability import HistoryOp, check_register_history
-from repro.resilience.checkpoint import run_checkpointed
+from repro.resilience.checkpoint import RunPlan, run_checkpointed
 from repro.runtime.scheduler import RoundRobinScheduler
 from repro.runtime.simulation import Simulation
 from repro.snapshot.arrows import ArrowScannableMemory
@@ -321,39 +321,34 @@ def _campaign_cell(
 def run_mutation_campaign(
     seed: int = 0,
     consensus_max_steps: int = 200_000,
-    workers: int | None = None,
-    ledger: "Any | None" = None,
+    plan: RunPlan | None = None,
     experiment: str = "campaign",
-    policy: "Any | None" = None,
-    task_timeout: float | None = None,
-    metrics: Any = None,
     task_wrapper: Any = None,
-    batch_size: int | None = None,
 ) -> CampaignReport:
     """Run every mutation-test cell; deterministic for a given seed.
 
-    Each cell seeds its own simulation, so with ``workers`` > 1 the cells
-    run concurrently and the report (cells in the canonical order) is
-    identical to the serial campaign.
+    ``plan`` (a :class:`~repro.resilience.RunPlan`; default serial, no
+    ledger) says how the cells run.  Each cell seeds its own simulation,
+    so with workers the cells run concurrently and the report (cells in
+    the canonical order) is identical to the serial campaign.
 
-    With a ``ledger`` (a :class:`~repro.obs.ledger.RunLedger`), every
-    cell is content-addressed by (seed, cell spec, code version): known
-    cells are cache hits (served from their records, counted in
+    With a ledger in the plan (a :class:`~repro.obs.ledger.RunLedger`),
+    every cell is content-addressed by (seed, cell spec, code version):
+    known cells are cache hits (served from their records, counted in
     ``report.cache_hits``), and fresh cells checkpoint to the ledger
     *incrementally* in canonical order as they complete — the ledger
     bytes stay identical at any worker count and an interrupted campaign
     resumes by recomputing only the missing cells.
 
-    ``policy``/``task_timeout`` flow to
-    :func:`~repro.parallel.run_tasks_partial` (retry a crashed cell from
-    its seed; continue-and-report turns lost cells into
-    ``report.task_errors``); ``task_wrapper`` decorates the cell function
-    before dispatch (chaos injection hooks like
-    :class:`~repro.resilience.checkpoint.CrashOnce`).
+    Under the plan's policy a retry re-runs a crashed cell from its seed,
+    and continue-and-report turns lost cells into ``report.task_errors``;
+    ``task_wrapper`` decorates the cell function before dispatch (chaos
+    injection hooks like :class:`~repro.resilience.checkpoint.CrashOnce`).
     """
     specs: list[tuple[str, str | None]] = [("register", None), ("snapshot", None)]
     for kind in FAULT_KINDS:
         specs.extend([("register", kind), ("snapshot", kind), ("consensus", kind)])
+    plan = plan or RunPlan()
     report = CampaignReport(seed=seed)
 
     # A partial, not a closure: serve jobs send it to a spawned worker pool.
@@ -376,21 +371,16 @@ def run_mutation_campaign(
     values, partial, report.cache_hits = run_checkpointed(
         run_spec,
         specs,
-        ledger,
         [(seed, config) for config in configs],
+        plan,
         kind="campaign",
         experiment=experiment,
         decode=lambda record: (
             CampaignCell(**record.outcome) if record.kind == "campaign" else None
         ),
         encode=dataclasses.asdict,
-        workers=workers,
-        policy=policy,
-        task_timeout=task_timeout,
-        metrics=metrics,
-        batch_size=batch_size,
     )
-    if partial.errors and (policy is None or policy.mode != "continue"):
+    if partial.errors and (plan.policy is None or plan.policy.mode != "continue"):
         raise ParallelExecutionError(partial.errors)
     report.cells = [cell for cell in values if cell is not None]
     report.task_errors = [str(error) for error in partial.errors]

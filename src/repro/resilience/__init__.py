@@ -2,7 +2,10 @@
 
 The paper's subject is computing that survives failure — wait-free
 consensus where any ``n-1`` processes may crash — and this package makes
-the *harness* tolerate the same fault classes it simulates.  Three
+the *harness* tolerate the same fault classes it simulates.  A campaign
+says how it executes with one :class:`RunPlan` (workers, dispatch unit,
+failure policy, deadline, metrics, progress, ledger), which
+:func:`run_checkpointed` alone unpacks into the engine.  Three
 mechanisms, all composing with :func:`repro.parallel.run_tasks`:
 
 - **failure policies** (:mod:`repro.resilience.policy`) — what happens
@@ -39,6 +42,7 @@ from repro.resilience.budget import (
 from repro.resilience.checkpoint import (
     CrashOnce,
     LedgerCheckpointer,
+    RunPlan,
     run_checkpointed,
 )
 from repro.resilience.policy import FailurePolicy, PartialResult, RetryBackoff
@@ -53,5 +57,6 @@ __all__ = [
     "PartialResult",
     "Priority",
     "RetryBackoff",
+    "RunPlan",
     "run_checkpointed",
 ]

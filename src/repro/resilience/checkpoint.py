@@ -14,10 +14,13 @@ in submission order, so
   tolerates) — the resumed run recomputes only the missing suffix and
   whatever cells the cache could not serve.
 
-:func:`run_checkpointed` is the one piece of ledger plumbing every
-recorded entry point (sweeps, the fuzz grid, the mutation campaign)
-shares: fingerprint each cell, serve cached records, run the rest in one
-engine call and checkpoint them through a :class:`LedgerCheckpointer`.
+:class:`RunPlan` is how a campaign executes (workers, dispatch unit,
+failure policy, deadline, metrics, progress, ledger), and
+:func:`run_checkpointed` is the one piece of plumbing every campaign
+entry point (sweeps, the fuzz grid, the mutation campaign) shares:
+fingerprint each cell, serve cached records, run the rest in one engine
+call under the plan and checkpoint them through a
+:class:`LedgerCheckpointer`.
 
 :class:`CrashOnce` is the matching chaos tool: a task wrapper that
 SIGKILLs its own worker process exactly once per marker file, used by
@@ -29,12 +32,14 @@ from __future__ import annotations
 
 import os
 import signal
+from dataclasses import dataclass
 from pathlib import Path
 from typing import TYPE_CHECKING, Any, Callable, Mapping, Sequence
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.obs.ledger import LedgerRecord, RunLedger
-    from repro.resilience.policy import PartialResult
+    from repro.parallel.engine import WorkerPool
+    from repro.resilience.policy import FailurePolicy, PartialResult
 
 
 class LedgerCheckpointer:
@@ -85,27 +90,65 @@ class LedgerCheckpointer:
         self._skipped.clear()
 
 
+@dataclass(frozen=True)
+class RunPlan:
+    """How a campaign executes, decided once by its caller.
+
+    Every campaign entry point (:func:`~repro.analysis.experiment.
+    repeat_runs`, :meth:`~repro.analysis.experiment.Sweep.execute`,
+    :func:`~repro.verify.fuzz.fuzz_consensus`,
+    :func:`~repro.faults.campaign.run_mutation_campaign`) takes one plan
+    and hands it to :func:`run_checkpointed`, the only code that unpacks
+    it into the engine.  The CLI builds a plan from its flags, the serve
+    dispatcher keeps one for the server's lifetime, and library callers
+    write ``RunPlan(workers=...)``; the default plan runs serially (or on
+    ``REPRO_WORKERS``) with no ledger.
+
+    Attributes:
+        workers: process count or :class:`~repro.parallel.WorkerPool`;
+            see :func:`~repro.parallel.resolve_workers`.
+        batch_size: tasks per dispatched unit; see
+            :func:`~repro.parallel.resolve_batch_size`.
+        policy: the :class:`~repro.resilience.policy.FailurePolicy`
+            (``None`` = fail fast).
+        task_timeout: per-unit wall-clock deadline in seconds (pool only).
+        metrics: registry the engine records its dispatch shape and
+            resilience counters into.
+        progress: ``progress(done, total)``, called in the parent as
+            fresh tasks complete.
+        ledger: the :class:`~repro.obs.ledger.RunLedger` that serves
+            cached cells and checkpoints fresh ones (``None`` = no ledger).
+    """
+
+    workers: "int | WorkerPool | None" = None
+    batch_size: int | None = None
+    policy: "FailurePolicy | None" = None
+    task_timeout: float | None = None
+    metrics: Any = None
+    progress: Callable[[int, int], None] | None = None
+    ledger: "RunLedger | None" = None
+
+
 def run_checkpointed(
     fn: Callable[[Any], Any],
     tasks: Sequence[Any],
-    ledger: "RunLedger | None",
     cells: Sequence[tuple[int, Mapping[str, Any]]],
+    plan: RunPlan,
     *,
     kind: str,
     experiment: str,
     decode: Callable[["LedgerRecord"], Any],
     encode: Callable[[Any], Mapping[str, Any]],
-    **engine: Any,
 ) -> tuple[list[Any], "PartialResult", int]:
-    """Run ``fn`` over ``tasks`` through a ledger: one engine call.
+    """Run ``fn`` over ``tasks`` as ``plan`` says: one engine call.
 
-    ``cells[i] = (seed, config)`` is task ``i``'s content address.  A
-    cached record that ``decode`` turns into a value (not ``None``) serves
-    its task; the other tasks go to
-    :func:`~repro.parallel.run_tasks_partial` (``engine`` holds its
-    keyword arguments), and each fresh result checkpoints as a ``kind``
-    record with ``encode(result)`` as its outcome, flushed in submission
-    order.  With ``ledger=None`` the tasks just run.
+    ``cells[i] = (seed, config)`` is task ``i``'s content address.  With
+    a ledger in the plan, a cached record that ``decode`` turns into a
+    value (not ``None``) serves its task, and each fresh result
+    checkpoints as a ``kind`` record with ``encode(result)`` as its
+    outcome, flushed in submission order.  The other tasks go to
+    :func:`~repro.parallel.run_tasks_partial` with the plan's engine
+    fields.
 
     Returns ``(values, partial, cache_hits)``: ``values`` in submission
     order with ``None`` holes for lost tasks, the engine's
@@ -114,42 +157,53 @@ def run_checkpointed(
     """
     from repro.parallel.engine import run_tasks_partial
 
-    if ledger is None:
-        partial = run_tasks_partial(fn, tasks, **engine)
-        return list(partial.results), partial, 0
-    from repro.obs.ledger import compute_fingerprint, make_record
-
+    ledger = plan.ledger
     values: list[Any] = [None] * len(tasks)
-    pending: list[int] = []
-    checkpointer = LedgerCheckpointer(ledger)
-    for index, (seed, config) in enumerate(cells):
-        record = ledger.cached(compute_fingerprint(seed, config))
-        value = None if record is None else decode(record)
-        if value is None:
-            pending.append(index)
-        else:
-            values[index] = value
-            checkpointer.skip(index)
+    pending = list(range(len(tasks)))
+    checkpoint = None
+    if ledger is not None:
+        from repro.obs.ledger import compute_fingerprint, make_record
 
-    def checkpoint(position: int, value: Any) -> None:
-        index = pending[position]
-        values[index] = value
-        seed, config = cells[index]
-        checkpointer.offer(
-            index,
-            make_record(
-                kind=kind,
-                experiment=experiment,
-                seed=seed,
-                config=config,
-                outcome=encode(value),
-            ),
-        )
+        pending = []
+        checkpointer = LedgerCheckpointer(ledger)
+        for index, (seed, config) in enumerate(cells):
+            record = ledger.cached(compute_fingerprint(seed, config))
+            value = None if record is None else decode(record)
+            if value is None:
+                pending.append(index)
+            else:
+                values[index] = value
+                checkpointer.skip(index)
+
+        def checkpoint(position: int, value: Any) -> None:
+            index = pending[position]
+            seed, config = cells[index]
+            checkpointer.offer(
+                index,
+                make_record(
+                    kind=kind,
+                    experiment=experiment,
+                    seed=seed,
+                    config=config,
+                    outcome=encode(value),
+                ),
+            )
 
     partial = run_tasks_partial(
-        fn, [tasks[index] for index in pending], on_result=checkpoint, **engine
+        fn,
+        [tasks[index] for index in pending],
+        workers=plan.workers,
+        batch_size=plan.batch_size,
+        progress=plan.progress,
+        metrics=plan.metrics,
+        policy=plan.policy,
+        task_timeout=plan.task_timeout,
+        on_result=checkpoint,
     )
-    checkpointer.close()
+    for index, value in zip(pending, partial.results):
+        values[index] = value
+    if ledger is not None:
+        checkpointer.close()
     return values, partial, len(tasks) - len(pending)
 
 

@@ -25,6 +25,7 @@ pipe and exits — idle at once, busy after the unit it was running.
 
 from __future__ import annotations
 
+import dataclasses
 import threading
 import time
 import traceback
@@ -32,6 +33,7 @@ from typing import TYPE_CHECKING, Any, Callable
 
 from repro.obs.ledger import LedgerRecord, RunLedger
 from repro.parallel import WorkerPool, resolve_workers
+from repro.resilience.checkpoint import RunPlan
 from repro.serve.queue import Job, JobQueue
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -127,12 +129,14 @@ class Dispatcher(threading.Thread):
         self.ledger = _TimedLedger(ledger_path)
         self.workers = resolve_workers(workers)
         self.pool = WorkerPool(self.workers) if self.workers > 1 else None
-        self.policy = (
-            policy
-            if policy is not None
-            else FailurePolicy.continue_and_report()
+        #: How every job executes; each job adds its own progress ticks.
+        self.plan = RunPlan(
+            workers=self.pool or self.workers,
+            policy=policy or FailurePolicy.continue_and_report(),
+            task_timeout=task_timeout,
+            metrics=metrics,
+            ledger=self.ledger,
         )
-        self.task_timeout = task_timeout
         self.admission = admission
         self.metrics = metrics
         self.telemetry = telemetry
@@ -194,7 +198,8 @@ class Dispatcher(threading.Thread):
             "campaign": self._run_campaign,
             "chaos": self._run_chaos,
         }[kind]
-        result = runner(job, params, ledger)
+        plan = dataclasses.replace(self.plan, progress=self._progress(job))
+        result = runner(params, plan)
         result["cache_hits"] = ledger.hits
         result["recomputed"] = ledger.misses
         if self.telemetry is not None and ledger.first_append is not None:
@@ -233,9 +238,7 @@ class Dispatcher(threading.Thread):
 
         return progress
 
-    def _run_sweep(
-        self, job: Job, params: dict[str, Any], ledger: RunLedger
-    ) -> dict[str, Any]:
+    def _run_sweep(self, params: dict[str, Any], plan: RunPlan) -> dict[str, Any]:
         from repro.analysis.experiment import sweep_table
         from repro.workloads import build_sweep
 
@@ -247,14 +250,8 @@ class Dispatcher(threading.Thread):
             scheduler=params["scheduler"],
             metric=params["metric"],
             max_steps=params["max_steps"],
-            ledger=ledger,
-            policy=self.policy,
-            task_timeout=self.task_timeout,
-            metrics=self.metrics,
         )
-        points = sweep.execute(
-            workers=self.pool or self.workers, progress=self._progress(job)
-        )
+        points = sweep.execute(plan)
         samples = [value for point in points for value in point.samples]
         return {
             "kind": "sweep",
@@ -267,9 +264,7 @@ class Dispatcher(threading.Thread):
             ),
         }
 
-    def _run_fuzz(
-        self, job: Job, params: dict[str, Any], ledger: RunLedger
-    ) -> dict[str, Any]:
+    def _run_fuzz(self, params: dict[str, Any], plan: RunPlan) -> dict[str, Any]:
         from repro.verify.fuzz import fuzz_consensus
         from repro.workloads import PROTOCOLS
 
@@ -281,13 +276,8 @@ class Dispatcher(threading.Thread):
             recovery_probability=params["recovery_probability"],
             fault_probability=params["fault_probability"],
             master_seed=params["seed"],
-            workers=self.pool or self.workers,
-            progress=self._progress(job),
-            ledger=ledger,
+            plan=plan,
             experiment="fuzz",
-            policy=self.policy,
-            task_timeout=self.task_timeout,
-            metrics=self.metrics,
         )
         return {
             "kind": "fuzz",
@@ -299,23 +289,18 @@ class Dispatcher(threading.Thread):
             "steps_total": report.steps_total,
         }
 
-    def _run_campaign(
-        self, job: Job, params: dict[str, Any], ledger: RunLedger
-    ) -> dict[str, Any]:
+    def _run_campaign(self, params: dict[str, Any], plan: RunPlan) -> dict[str, Any]:
         from repro.faults.campaign import run_mutation_campaign
 
+        # A campaign job ticks its progress once, when it is done.
         report = run_mutation_campaign(
             seed=params["seed"],
             consensus_max_steps=params["consensus_max_steps"],
-            workers=self.pool or self.workers,
-            ledger=ledger,
+            plan=self.plan,
             experiment="campaign",
-            policy=self.policy,
-            task_timeout=self.task_timeout,
-            metrics=self.metrics,
         )
         rows = report.to_rows()
-        self.queue.update_progress(job.id, done=len(rows), total=len(rows))
+        plan.progress(len(rows), len(rows))
         return {
             "kind": "campaign",
             "ok": report.ok,
@@ -324,11 +309,10 @@ class Dispatcher(threading.Thread):
             "task_errors": report.task_errors,
         }
 
-    def _run_chaos(
-        self, job: Job, params: dict[str, Any], ledger: RunLedger
-    ) -> dict[str, Any]:
+    def _run_chaos(self, params: dict[str, Any], plan: RunPlan) -> dict[str, Any]:
         """The three ``repro chaos`` stages under their CLI experiment
-        labels, so serve chaos jobs cache-hit prior CLI chaos runs."""
+        labels, so serve chaos jobs cache-hit prior CLI chaos runs.  Only
+        the recovery stage ticks the job's progress."""
         from repro.consensus import AdsConsensus
         from repro.faults.campaign import run_mutation_campaign
         from repro.verify.fuzz import fuzz_consensus
@@ -336,12 +320,8 @@ class Dispatcher(threading.Thread):
 
         campaign = run_mutation_campaign(
             seed=params["seed"],
-            workers=self.pool or self.workers,
-            ledger=ledger,
+            plan=self.plan,
             experiment=CHAOS_EXPERIMENTS["campaign"],
-            policy=self.policy,
-            task_timeout=self.task_timeout,
-            metrics=self.metrics,
         )
         recovery = fuzz_consensus(
             AdsConsensus,
@@ -350,13 +330,8 @@ class Dispatcher(threading.Thread):
             crash_probability=1.0,
             recovery_probability=1.0,
             master_seed=params["seed"],
-            workers=self.pool or self.workers,
-            progress=self._progress(job),
-            ledger=ledger,
+            plan=plan,
             experiment=CHAOS_EXPERIMENTS["recovery"],
-            policy=self.policy,
-            task_timeout=self.task_timeout,
-            metrics=self.metrics,
         )
         faults = fuzz_consensus(
             AdsConsensus,
@@ -365,12 +340,8 @@ class Dispatcher(threading.Thread):
             crash_probability=0.0,
             fault_probability=1.0,
             master_seed=params["seed"],
-            workers=self.pool or self.workers,
-            ledger=ledger,
+            plan=self.plan,
             experiment=CHAOS_EXPERIMENTS["faults"],
-            policy=self.policy,
-            task_timeout=self.task_timeout,
-            metrics=self.metrics,
         )
         ok = campaign.ok and recovery.ok and faults.ok
         return {

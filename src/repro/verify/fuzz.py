@@ -23,21 +23,18 @@ from __future__ import annotations
 import dataclasses
 import functools
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Any, Callable, Iterable
+from typing import Any, Callable, Iterable
 
 from repro.consensus.interface import ConsensusRun
 from repro.consensus.validation import validate_run
 from repro.faults.plan import FaultPlan
 from repro.faults.watchdog import Watchdog
 from repro.parallel import ParallelExecutionError
-from repro.resilience.checkpoint import run_checkpointed
+from repro.resilience.checkpoint import RunPlan, run_checkpointed
 from repro.runtime.rng import derive_rng
 from repro.runtime.scheduler import CrashPlan, RecoveryPlan
 from repro.workloads import make_scheduler
 
-if TYPE_CHECKING:  # pragma: no cover
-    from repro.obs.ledger import RunLedger
-    from repro.resilience.policy import FailurePolicy
 
 #: Default livelock window (in simulation steps) for the per-run watchdog.
 #: Healthy consensus runs move their progress counters (coin flips, round
@@ -342,15 +339,9 @@ def fuzz_consensus(
     master_seed: int = 0,
     extra_check: Callable[[ConsensusRun], list[str]] | None = None,
     stop_on_first_failure: bool = False,
-    workers: int | None = None,
-    progress: Callable[[int, int], None] | None = None,
-    ledger: "RunLedger | None" = None,
+    plan: RunPlan | None = None,
     experiment: str = "fuzz",
     livelock_window: int | None = DEFAULT_LIVELOCK_WINDOW,
-    policy: "FailurePolicy | None" = None,
-    task_timeout: float | None = None,
-    metrics: Any = None,
-    batch_size: int | None = None,
     task_wrapper: Callable[
         [Callable[[tuple[int, str]], _CellOutcome]],
         Callable[[tuple[int, str]], _CellOutcome],
@@ -387,16 +378,17 @@ def fuzz_consensus(
     and are reported as failures (with ``degraded=True``) on fault-free
     runs, so one livelocked schedule cannot abort a whole campaign.
 
-    ``workers`` > 1 runs the grid cells concurrently (one worker task per
-    (n, scheduler) cell); every run's randomness derives from the cell
-    identity, and cell outcomes merge in grid order, so the report —
-    detection holes included — is identical to the serial campaign.
-    ``stop_on_first_failure`` needs the serial scan order to mean
-    anything, so it forces the serial path.  ``progress(done, total)``
-    ticks as cells complete.
+    ``plan`` (a :class:`~repro.resilience.RunPlan`; default serial, no
+    ledger) says how the grid cells run: with workers they run
+    concurrently (one worker task per (n, scheduler) cell); every run's
+    randomness derives from the cell identity, and cell outcomes merge in
+    grid order, so the report — detection holes included — is identical
+    to the serial campaign.  ``stop_on_first_failure`` needs the serial
+    scan order to mean anything, so it forces the serial path.  The
+    plan's ``progress(done, total)`` ticks as cells complete.
 
-    With a ``ledger`` (and no ``stop_on_first_failure``), every grid cell
-    is content-addressed by (master seed, cell config, code version):
+    With a ledger in the plan (and no ``stop_on_first_failure``), every
+    grid cell is content-addressed by (master seed, cell config, code version):
     cells already in the ledger are cache hits — served from their record
     instead of recomputed — and fresh cells are appended parent-side in
     grid order after the merge, so the ledger bytes are identical at any
@@ -408,13 +400,12 @@ def fuzz_consensus(
     :class:`~repro.faults.watchdog.Watchdog` that halts a frozen
     simulation (degraded outcome, counted in ``watchdog_halts``) instead
     of letting it burn the whole step budget in a pool slot (``None``
-    disables).  ``policy`` and ``task_timeout`` flow to
-    :func:`~repro.parallel.run_tasks_partial`: a retry policy re-runs a
-    crashed cell from its seed (bit-identical report), a
-    continue-and-report policy turns lost cells into ``task_errors`` on
-    the report instead of an exception.  With a ledger, completed cells
-    checkpoint incrementally, so re-running an interrupted campaign
-    recomputes only the missing cells (``cache_hits`` reports the rest).
+    disables).  Under the plan's policy, a retry re-runs a crashed cell
+    from its seed (bit-identical report), and continue-and-report turns
+    lost cells into ``task_errors`` on the report instead of an
+    exception.  With a ledger, completed cells checkpoint incrementally,
+    so re-running an interrupted campaign recomputes only the missing
+    cells (``cache_hits`` reports the rest).
     ``task_wrapper`` decorates the cell function before dispatch (chaos
     injection hooks like
     :class:`~repro.resilience.checkpoint.CrashOnce`).
@@ -422,6 +413,7 @@ def fuzz_consensus(
     schedulers = (
         dict(schedulers) if schedulers is not None else dict(DEFAULT_SCHEDULERS)
     )
+    plan = plan or RunPlan()
     report = FuzzReport()
     specs = [(n, name) for n in n_values for name in schedulers]
 
@@ -452,8 +444,8 @@ def fuzz_consensus(
         for done, spec in enumerate(specs):
             cell = run_cell(spec)
             cells.append(cell)
-            if progress is not None:
-                progress(done + 1, len(specs))
+            if plan.progress is not None:
+                plan.progress(done + 1, len(specs))
             if cell.stopped:
                 break
     else:
@@ -478,8 +470,8 @@ def fuzz_consensus(
         values, partial, report.cache_hits = run_checkpointed(
             run_cell,
             specs,
-            ledger,
             [(master_seed, config) for config in configs],
+            plan,
             kind="fuzz",
             experiment=experiment,
             decode=lambda record: (
@@ -488,14 +480,10 @@ def fuzz_consensus(
                 else None
             ),
             encode=_CellOutcome.to_payload,
-            workers=workers,
-            progress=progress,
-            policy=policy,
-            task_timeout=task_timeout,
-            metrics=metrics,
-            batch_size=batch_size,
         )
-        if partial.errors and (policy is None or policy.mode != "continue"):
+        if partial.errors and (
+            plan.policy is None or plan.policy.mode != "continue"
+        ):
             raise ParallelExecutionError(partial.errors)
         cells = [cell for cell in values if cell is not None]
         report.task_errors = [str(error) for error in partial.errors]

@@ -46,8 +46,6 @@ from repro.runtime.adversary import LockstepAdversary
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.analysis.experiment import Sweep
-    from repro.obs.ledger import RunLedger
-    from repro.resilience.policy import FailurePolicy
 
 #: The user-facing protocol menu (name → class), shared by every entry
 #: point so "ads" means the same protocol everywhere.
@@ -199,18 +197,13 @@ def build_sweep(
     scheduler: str = "random",
     metric: str = "steps",
     max_steps: int = 50_000_000,
-    *,
-    ledger: "RunLedger | None" = None,
-    policy: "FailurePolicy | None" = None,
-    task_timeout: float | None = None,
-    metrics: Any = None,
-    batch_size: int | None = None,
 ) -> "Sweep":
     """The canonical protocol sweep, identically configured everywhere.
 
     Both ``repro sweep`` and serve sweep jobs execute the object this
-    returns, so the ledger records it checkpoints — experiment label,
-    cell configs, fingerprints — are byte-identical across entry points.
+    returns (each under its own :class:`~repro.resilience.RunPlan`), so
+    the ledger records it checkpoints — experiment label, cell configs,
+    fingerprints — are byte-identical across entry points.
     """
     from repro.analysis.experiment import Sweep
 
@@ -220,7 +213,6 @@ def build_sweep(
         make_sweep_runner(protocol, scheduler, metric, max_steps),
         repetitions=reps,
         seed_base=seed_base,
-        ledger=ledger,
         experiment=sweep_experiment(protocol, metric),
         config={
             "protocol": protocol,
@@ -228,8 +220,4 @@ def build_sweep(
             "metric": metric,
             "max_steps": max_steps,
         },
-        policy=policy,
-        task_timeout=task_timeout,
-        metrics=metrics,
-        batch_size=batch_size,
     )

@@ -21,6 +21,7 @@ from repro.consensus import AdsConsensus
 from repro.obs.ledger import RunLedger
 from repro.parallel import resolve_batch_size, run_tasks, run_tasks_partial
 from repro.parallel.engine import BATCH_ENV
+from repro.resilience import RunPlan
 from repro.runtime import RandomScheduler
 from repro.verify.fuzz import fuzz_consensus
 from repro.workloads import SWEEP_METRICS, SweepCell, build_sweep
@@ -166,19 +167,15 @@ N_VALUES = (1, 2, 3, 5)
 REPS = 3
 
 
-def _sweep(tmp_path, tag, metric, batch_size=None):
-    return build_sweep(
-        n_values=N_VALUES,
-        reps=REPS,
-        metric=metric,
-        ledger=RunLedger(tmp_path / f"{tag}.jsonl"),
-        batch_size=batch_size,
-    )
+def _sweep(metric):
+    return build_sweep(n_values=N_VALUES, reps=REPS, metric=metric)
 
 
-def _run(sweep, workers):
-    points = sweep.execute(workers=workers)
-    return points, sweep.ledger.path.read_bytes()
+def _run(sweep, tmp_path, tag, workers, batch_size=None):
+    path = tmp_path / f"{tag}.jsonl"
+    plan = RunPlan(workers=workers, batch_size=batch_size, ledger=RunLedger(path))
+    points = sweep.execute(plan)
+    return points, path.read_bytes()
 
 
 @pytest.fixture(scope="module")
@@ -189,11 +186,12 @@ def generator_reference(tmp_path_factory):
     tmp_path = tmp_path_factory.mktemp("generator")
     reference = {}
     for metric in SWEEP_METRICS:
-        sweep = _sweep(tmp_path, metric, metric)
+        sweep = _sweep(metric)
         cell = sweep.run_once
         plain = SweepCell(cell.protocol, cell.scheduler, cell.metric, cell.max_steps)
         assert not hasattr(plain, "batch_lane")
-        reference[metric] = _run(dataclasses.replace(sweep, run_once=plain), 1)
+        plain_sweep = dataclasses.replace(sweep, run_once=plain)
+        reference[metric] = _run(plain_sweep, tmp_path, metric, 1)
     return reference
 
 
@@ -204,7 +202,7 @@ def test_sweep_ledger_bytes_identical_at_any_batch_size(
     for metric in SWEEP_METRICS:
         for workers in (0, 1):
             tag = f"{metric}-{batch_size}-{workers}"
-            run = _run(_sweep(tmp_path, tag, metric, batch_size), workers)
+            run = _run(_sweep(metric), tmp_path, tag, workers, batch_size)
             assert run == generator_reference[metric], tag
 
 
@@ -212,13 +210,13 @@ def test_sweep_batching_composes_with_workers(tmp_path, generator_reference):
     for metric in SWEEP_METRICS:
         for batch_size in (None, 1, 4, 16):
             tag = f"{metric}-{batch_size}"
-            run = _run(_sweep(tmp_path, tag, metric, batch_size), workers=2)
+            run = _run(_sweep(metric), tmp_path, tag, 2, batch_size)
             assert run == generator_reference[metric], tag
 
 
 def test_sweep_reads_env_knob(tmp_path, monkeypatch, generator_reference):
     monkeypatch.setenv(BATCH_ENV, "4")
-    run = _run(_sweep(tmp_path, "env", "steps"), workers=1)
+    run = _run(_sweep("steps"), tmp_path, "env", workers=1)
     assert run == generator_reference["steps"]
 
 
@@ -246,7 +244,7 @@ def test_hooked_cells_run_as_lanes_without_a_batch_size(
     monkeypatch.delenv(BATCH_ENV, raising=False)
     monkeypatch.setattr(batch_engine, "run_lanes", spy_lanes)
     monkeypatch.setattr(SweepCell, "__call__", spy_cell)
-    build_sweep(n_values=(1, 2, 3), reps=4).execute(workers=workers)
+    build_sweep(n_values=(1, 2, 3), reps=4).execute(RunPlan(workers=workers))
 
     def calls(path):
         """The logged ``(n, seed)`` pairs, sorted, and the pids that ran them."""
@@ -275,8 +273,8 @@ def test_repeat_runs_identical_when_batched():
         )
 
     seeds = range(9)
-    serial = repeat_runs(run_once, seeds, workers=0)
-    batched = repeat_runs(run_once, seeds, workers=0, batch_size=4)
+    serial = repeat_runs(run_once, seeds, RunPlan(workers=0))
+    batched = repeat_runs(run_once, seeds, RunPlan(workers=0, batch_size=4))
     assert batched == serial
 
 
@@ -286,9 +284,10 @@ def test_fuzz_report_identical_when_batched():
         runs_per_cell=3,
         schedulers={"random": lambda seed: RandomScheduler(seed=seed)},
         crash_probability=0.0,
-        workers=0,
     )
-    serial = fuzz_consensus(AdsConsensus, **kwargs)
-    batched = fuzz_consensus(AdsConsensus, batch_size=4, **kwargs)
+    serial = fuzz_consensus(AdsConsensus, plan=RunPlan(workers=0), **kwargs)
+    batched = fuzz_consensus(
+        AdsConsensus, plan=RunPlan(workers=0, batch_size=4), **kwargs
+    )
     assert dataclasses.asdict(batched) == dataclasses.asdict(serial)
     assert batched.ok

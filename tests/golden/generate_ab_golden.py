@@ -24,6 +24,7 @@ from repro.consensus.ads import AdsConsensus
 from repro.faults.campaign import run_mutation_campaign
 from repro.obs.causality import causal_report_for
 from repro.obs.metrics import MetricsRegistry, merge_snapshots
+from repro.resilience import RunPlan
 from repro.verify.fuzz import fuzz_consensus
 
 GOLDEN_PATH = pathlib.Path(__file__).parent / "ab_golden.json"
@@ -114,7 +115,7 @@ def parallel_merge_golden() -> dict:
     serial = [s.relabel(task=i) for i, s in enumerate(repeat_runs(run_once, range(6)))]
     parallel = [
         s.relabel(task=i)
-        for i, s in enumerate(repeat_runs(run_once, range(6), workers=2))
+        for i, s in enumerate(repeat_runs(run_once, range(6), RunPlan(workers=2)))
     ]
     merged_serial = merge_snapshots(serial).to_json()
     merged_parallel = merge_snapshots(parallel).to_json()

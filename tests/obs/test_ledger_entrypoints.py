@@ -17,6 +17,7 @@ from repro.analysis.experiment import Sweep, repeat_runs
 from repro.consensus import AdsConsensus
 from repro.faults.campaign import run_mutation_campaign
 from repro.obs.ledger import RunLedger
+from repro.resilience import RunPlan
 from repro.verify.fuzz import fuzz_consensus
 
 
@@ -33,7 +34,7 @@ def test_repeat_runs_records_then_serves_from_cache(tmp_path):
     path = tmp_path / "runs.jsonl"
     ledger = RunLedger(path)
     first = repeat_runs(
-        _square, range(4), ledger=ledger, experiment="exp", config={"n": 2}
+        _square, range(4), RunPlan(ledger=ledger), experiment="exp", config={"n": 2}
     )
     assert first == [0.0, 1.0, 4.0, 9.0]
     assert len(ledger) == 4
@@ -47,7 +48,7 @@ def test_repeat_runs_records_then_serves_from_cache(tmp_path):
     again = repeat_runs(
         counting,
         range(4),
-        ledger=RunLedger(path),
+        RunPlan(ledger=RunLedger(path)),
         experiment="exp",
         config={"n": 2},
     )
@@ -58,7 +59,7 @@ def test_repeat_runs_records_then_serves_from_cache(tmp_path):
     extended = repeat_runs(
         counting,
         range(5),
-        ledger=RunLedger(path),
+        RunPlan(ledger=RunLedger(path)),
         experiment="exp",
         config={"n": 2},
     )
@@ -68,7 +69,7 @@ def test_repeat_runs_records_then_serves_from_cache(tmp_path):
 
 def test_repeat_runs_no_cache_recomputes_without_duplicating(tmp_path):
     path = tmp_path / "runs.jsonl"
-    repeat_runs(_square, range(3), ledger=RunLedger(path), experiment="exp")
+    repeat_runs(_square, range(3), RunPlan(ledger=RunLedger(path)), experiment="exp")
 
     calls = []
 
@@ -79,7 +80,7 @@ def test_repeat_runs_no_cache_recomputes_without_duplicating(tmp_path):
     repeat_runs(
         counting,
         range(3),
-        ledger=RunLedger(path, use_cache=False),
+        RunPlan(ledger=RunLedger(path, use_cache=False)),
         experiment="exp",
     )
     assert calls == [0, 1, 2]  # recomputed
@@ -88,9 +89,9 @@ def test_repeat_runs_no_cache_recomputes_without_duplicating(tmp_path):
 
 def test_repeat_runs_distinct_configs_do_not_collide(tmp_path):
     path = tmp_path / "runs.jsonl"
-    repeat_runs(_square, [1], ledger=RunLedger(path), experiment="a")
+    repeat_runs(_square, [1], RunPlan(ledger=RunLedger(path)), experiment="a")
     served = repeat_runs(
-        lambda seed: -1.0, [1], ledger=RunLedger(path), experiment="b"
+        lambda seed: -1.0, [1], RunPlan(ledger=RunLedger(path)), experiment="b"
     )
     assert served == [-1.0]  # experiment "a"'s record was not served
     assert len(RunLedger(path)) == 2
@@ -102,23 +103,23 @@ def _consensus_metric(n: int, seed: int) -> float:
     return float(run.total_steps)
 
 
-def _sweep(ledger):
-    return Sweep(
+def _sweep(ledger, workers):
+    sweep = Sweep(
         "n",
         [2, 3],
         _consensus_metric,
         repetitions=2,
-        ledger=ledger,
         experiment="sweep:ads:steps",
         config={"protocol": "ads", "metric": "steps"},
     )
+    return sweep.execute(RunPlan(workers=workers, ledger=ledger))
 
 
 def test_sweep_ledger_byte_identical_serial_vs_workers(tmp_path):
     serial_path = tmp_path / "serial.jsonl"
     parallel_path = tmp_path / "parallel.jsonl"
-    serial = _sweep(RunLedger(serial_path)).execute(workers=1)
-    parallel = _sweep(RunLedger(parallel_path)).execute(workers=4)
+    serial = _sweep(RunLedger(serial_path), workers=1)
+    parallel = _sweep(RunLedger(parallel_path), workers=4)
     assert [p.samples for p in serial] == [p.samples for p in parallel]
     assert serial_path.read_bytes() == parallel_path.read_bytes()
     assert len(serial_path.read_bytes()) > 0
@@ -126,7 +127,7 @@ def test_sweep_ledger_byte_identical_serial_vs_workers(tmp_path):
 
 def test_sweep_second_pass_is_all_cache_hits(tmp_path):
     path = tmp_path / "sweep.jsonl"
-    first = _sweep(RunLedger(path)).execute(workers=1)
+    first = _sweep(RunLedger(path), workers=1)
     size = path.stat().st_size
 
     def exploding(n: int, seed: int) -> float:
@@ -137,11 +138,10 @@ def test_sweep_second_pass_is_all_cache_hits(tmp_path):
         [2, 3],
         exploding,
         repetitions=2,
-        ledger=RunLedger(path),
         experiment="sweep:ads:steps",
         config={"protocol": "ads", "metric": "steps"},
     )
-    again = sweep.execute(workers=1)
+    again = sweep.execute(RunPlan(workers=1, ledger=RunLedger(path)))
     assert [p.samples for p in again] == [p.samples for p in first]
     assert path.stat().st_size == size  # nothing new was appended
 
@@ -154,8 +154,7 @@ def _fuzz(ledger, workers):
         crash_probability=1.0,
         recovery_probability=1.0,
         master_seed=0,
-        workers=workers,
-        ledger=ledger,
+        plan=RunPlan(workers=workers, ledger=ledger),
         experiment="fuzz:recovery",
     )
 
@@ -186,13 +185,11 @@ def test_campaign_ledger_byte_identical_serial_vs_workers(tmp_path):
     parallel_path = tmp_path / "parallel.jsonl"
     serial = run_mutation_campaign(
         consensus_max_steps=50_000,
-        workers=1,
-        ledger=RunLedger(serial_path),
+        plan=RunPlan(workers=1, ledger=RunLedger(serial_path)),
     )
     parallel = run_mutation_campaign(
         consensus_max_steps=50_000,
-        workers=4,
-        ledger=RunLedger(parallel_path),
+        plan=RunPlan(workers=4, ledger=RunLedger(parallel_path)),
     )
     assert serial.to_json() == parallel.to_json()
     assert serial_path.read_bytes() == parallel_path.read_bytes()
@@ -201,8 +198,7 @@ def test_campaign_ledger_byte_identical_serial_vs_workers(tmp_path):
     size = serial_path.stat().st_size
     again = run_mutation_campaign(
         consensus_max_steps=50_000,
-        workers=1,
-        ledger=RunLedger(serial_path),
+        plan=RunPlan(workers=1, ledger=RunLedger(serial_path)),
     )
     assert again.to_json() == serial.to_json()
     assert serial_path.stat().st_size == size

@@ -11,6 +11,7 @@ from repro.analysis.experiment import Sweep, repeat_runs, sweep_table
 from repro.consensus import AdsConsensus, validate_run
 from repro.faults.campaign import run_mutation_campaign
 from repro.parallel.engine import _fork_available
+from repro.resilience import RunPlan
 from repro.runtime.rng import derive_rng
 from repro.verify.fuzz import fuzz_consensus
 
@@ -36,8 +37,8 @@ def _consensus_steps(n: int, seed: int) -> float:
 @needs_fork
 def test_repeat_runs_equivalence():
     seeds = range(12)
-    assert repeat_runs(_metric, seeds, workers=1) == repeat_runs(
-        _metric, seeds, workers=4
+    assert repeat_runs(_metric, seeds, RunPlan(workers=1)) == repeat_runs(
+        _metric, seeds, RunPlan(workers=4)
     )
 
 
@@ -46,19 +47,11 @@ def test_sweep_equivalence_real_consensus():
     def build():
         return Sweep("n", [2, 3], _consensus_steps, repetitions=3, seed_base=100)
 
-    serial = build().execute(workers=1)
-    parallel = build().execute(workers=4)
+    serial = build().execute(RunPlan(workers=1))
+    parallel = build().execute(RunPlan(workers=4))
     assert [p.params for p in serial] == [p.params for p in parallel]
     assert [p.samples for p in serial] == [p.samples for p in parallel]
     assert sweep_table(serial) == sweep_table(parallel)
-
-
-@needs_fork
-def test_sweep_workers_field_is_default_for_execute():
-    sweep = Sweep("n", [2], _consensus_steps, repetitions=2, workers=2)
-    points = sweep.execute()  # picks up workers=2 from the dataclass field
-    serial = Sweep("n", [2], _consensus_steps, repetitions=2).execute(workers=1)
-    assert [p.samples for p in points] == [p.samples for p in serial]
 
 
 def _fuzz(workers):
@@ -67,7 +60,7 @@ def _fuzz(workers):
         n_values=[2, 3],
         runs_per_cell=3,
         master_seed=7,
-        workers=workers,
+        plan=RunPlan(workers=workers),
     )
 
 
@@ -84,7 +77,11 @@ def test_fuzz_grid_equivalence():
 
 @needs_fork
 def test_chaos_campaign_equivalence():
-    serial = run_mutation_campaign(seed=3, consensus_max_steps=100_000, workers=1)
-    parallel = run_mutation_campaign(seed=3, consensus_max_steps=100_000, workers=4)
+    serial = run_mutation_campaign(
+        seed=3, consensus_max_steps=100_000, plan=RunPlan(workers=1)
+    )
+    parallel = run_mutation_campaign(
+        seed=3, consensus_max_steps=100_000, plan=RunPlan(workers=4)
+    )
     assert serial.to_json() == parallel.to_json()
     assert serial.ok == parallel.ok

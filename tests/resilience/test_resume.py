@@ -20,7 +20,7 @@ from repro.faults.campaign import run_mutation_campaign
 from repro.obs.ledger import RunLedger
 from repro.obs.metrics import MetricsRegistry
 from repro.parallel.engine import _fork_available
-from repro.resilience import CrashOnce, FailurePolicy, RetryBackoff
+from repro.resilience import CrashOnce, FailurePolicy, RetryBackoff, RunPlan
 from repro.verify.fuzz import fuzz_consensus
 from repro.workloads import build_sweep
 
@@ -44,10 +44,8 @@ def _fuzz(ledger=None, workers=1, policy=None, task_wrapper=None):
         crash_probability=1.0,
         recovery_probability=1.0,
         master_seed=0,
-        workers=workers,
-        ledger=ledger,
+        plan=RunPlan(workers=workers, policy=policy, ledger=ledger),
         experiment="fuzz:resilience",
-        policy=policy,
         task_wrapper=task_wrapper,
     )
 
@@ -81,12 +79,13 @@ def test_sigkilled_fuzz_worker_retries_to_identical_report_and_ledger(
 
 @needs_fork
 def test_sigkilled_campaign_worker_retries_to_identical_json(tmp_path):
-    baseline = run_mutation_campaign(consensus_max_steps=50_000, workers=2)
+    baseline = run_mutation_campaign(
+        consensus_max_steps=50_000, plan=RunPlan(workers=2)
+    )
     marker = tmp_path / "crash-marker"
     disturbed = run_mutation_campaign(
         consensus_max_steps=50_000,
-        workers=2,
-        policy=FAST_RETRY,
+        plan=RunPlan(workers=2, policy=FAST_RETRY),
         task_wrapper=lambda fn: CrashOnce(fn, marker),
     )
     assert marker.exists()
@@ -96,25 +95,26 @@ def test_sigkilled_campaign_worker_retries_to_identical_json(tmp_path):
 @needs_fork
 def test_sigkilled_batched_sweep_unit_retries_to_serial_ledger(tmp_path):
     serial_path = tmp_path / "serial.jsonl"
-    build_sweep(n_values=(2, 3), reps=4, ledger=RunLedger(serial_path)).execute(
-        workers=1
+    build_sweep(n_values=(2, 3), reps=4).execute(
+        RunPlan(workers=1, ledger=RunLedger(serial_path))
     )
     crashed_path = tmp_path / "crashed.jsonl"
     metrics = MetricsRegistry()
-    sweep = build_sweep(
-        n_values=(2, 3),
-        reps=4,
-        ledger=RunLedger(crashed_path),
-        policy=FAST_RETRY,
-        metrics=metrics,
-        batch_size=4,
-    )
+    sweep = build_sweep(n_values=(2, 3), reps=4)
     # A plain wrapper carries no fused-lane hooks, so every cell runs
     # through it and the first one SIGKILLs its worker mid-unit.
     cell = sweep.run_once
     crashing = CrashOnce(lambda task: cell(*task), tmp_path / "crash-marker")
     sweep.run_once = lambda n, seed: crashing((n, seed))
-    sweep.execute(workers=2)
+    sweep.execute(
+        RunPlan(
+            workers=2,
+            batch_size=4,
+            policy=FAST_RETRY,
+            metrics=metrics,
+            ledger=RunLedger(crashed_path),
+        )
+    )
     assert (tmp_path / "crash-marker").exists()
     assert metrics.snapshot().counter_total("resilience.retries") == 1
     assert crashed_path.read_bytes() == serial_path.read_bytes()
@@ -150,12 +150,12 @@ def test_resumed_fuzz_recomputes_only_missing_fingerprints(tmp_path):
 def test_resumed_campaign_reports_cache_hits_out_of_band(tmp_path):
     path = tmp_path / "campaign.jsonl"
     first = run_mutation_campaign(
-        consensus_max_steps=50_000, ledger=RunLedger(path)
+        consensus_max_steps=50_000, plan=RunPlan(ledger=RunLedger(path))
     )
     assert first.cache_hits == 0
     _truncate_to_prefix(path, keep=3)
     full_bytes_expected = run_mutation_campaign(
-        consensus_max_steps=50_000, ledger=RunLedger(path)
+        consensus_max_steps=50_000, plan=RunPlan(ledger=RunLedger(path))
     )
     assert full_bytes_expected.cache_hits == 3
     # The resumed report is byte-identical to the undisturbed one:

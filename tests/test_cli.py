@@ -314,6 +314,37 @@ def test_chaos_command_accepts_workers(tmp_path, capsys):
     assert report.exists()
 
 
+def test_chaos_worker_crash_gate_counts_resolved_workers(
+    tmp_path, monkeypatch, capsys
+):
+    import json
+
+    from repro.parallel import engine
+
+    report = tmp_path / "chaos.json"
+
+    def chaos(*flags):
+        report.unlink(missing_ok=True)
+        argv = ["chaos", "--runs-per-cell", "2", "--retries", "1"]
+        code = main([*argv, "--inject-worker-crash", "--json", str(report), *flags])
+        capsys.readouterr()
+        return code, json.loads(report.read_text()) if code == 0 else None
+
+    # --workers 0 and REPRO_WORKERS=2 both resolve to two workers, so the
+    # killed worker's cell is retried on the other one.
+    monkeypatch.setattr(engine, "available_workers", lambda: 2)
+    monkeypatch.delenv("REPRO_WORKERS", raising=False)
+    code, payload = chaos("--workers", "0")
+    assert code == 0
+    assert payload["resilience"]["retries"] >= 1
+    monkeypatch.setenv("REPRO_WORKERS", "2")
+    code, payload = chaos()
+    assert code == 0
+    assert payload["resilience"]["retries"] >= 1
+    code, _ = chaos("--workers", "1")
+    assert code == 2
+
+
 def test_bench_command_lists_artifacts(tmp_path, capsys):
     results = tmp_path / "results"
     results.mkdir()
