@@ -127,15 +127,18 @@ def _open_ledger(args):
     """The command's :class:`~repro.obs.ledger.RunLedger`, or ``None``.
 
     ``--resume PATH`` wins outright (it *is* a ledger, with the cache
-    forced on — resuming means serving every already-checkpointed cell);
-    then ``--ledger PATH``, then the ``REPRO_LEDGER`` environment
-    variable; recording stays off when none is set.  ``--no-cache``
-    keeps recording on but makes every fingerprint lookup miss.
+    forced on — resuming means serving every already-checkpointed cell,
+    after dropping the torn trailing line a killed writer may have left,
+    as ``repro serve`` does at boot); then ``--ledger PATH``, then the
+    ``REPRO_LEDGER`` environment variable; recording stays off when none
+    is set.  ``--no-cache`` keeps recording on but makes every
+    fingerprint lookup miss.
     """
-    from repro.obs.ledger import RunLedger, ledger_from_env
+    from repro.obs.ledger import RunLedger, ledger_from_env, truncate_torn_tail
 
     resume = getattr(args, "resume", "")
     if resume:
+        truncate_torn_tail(resume)
         return RunLedger(resume, use_cache=True)
     return ledger_from_env(
         getattr(args, "ledger", "") or None,
@@ -1112,8 +1115,14 @@ def cmd_history(args) -> int:
     return 0 if check.ok else 1
 
 
+#: Seconds ``repro serve`` may spend stopping after Ctrl-C before it dumps
+#: every thread's stack (it keeps stopping; the dump is a diagnosis).
+_STOP_DUMP_AFTER_S = 10.0
+
+
 def cmd_serve(args) -> int:
     """Run the simulation service: HTTP/JSON API + persistent job queue."""
+    import faulthandler
     import os
     import signal
 
@@ -1165,7 +1174,13 @@ def cmd_serve(args) -> int:
         server.serve_forever()
     except KeyboardInterrupt:
         print("\nrepro serve: shutting down")
-        server.stop()
+        # A stop that overruns dumps every thread's stack to stderr, so a
+        # hung shutdown says where it hangs before anyone kills it.
+        faulthandler.dump_traceback_later(_STOP_DUMP_AFTER_S)
+        try:
+            server.stop()
+        finally:
+            faulthandler.cancel_dump_traceback_later()
     return 0
 
 

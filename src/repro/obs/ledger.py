@@ -33,6 +33,7 @@ Enable recording with ``--ledger PATH`` on the CLI commands or the
 from __future__ import annotations
 
 import dataclasses
+import functools
 import hashlib
 import json
 import os
@@ -51,14 +52,18 @@ from repro.version import LEDGER_SCHEMA, code_version, provenance
 #: ``--ledger`` flag takes precedence where both are given).
 LEDGER_ENV = "REPRO_LEDGER"
 
+#: The encoder behind :func:`canonical_json`, built once: ``json.dumps``
+#: with these options would build a new one per call.
+_CANONICAL = json.JSONEncoder(
+    sort_keys=True, separators=(",", ":"), allow_nan=False
+)
+
 
 def canonical_json(payload: Any) -> str:
     """The one serialization fingerprints and ledger lines are built on:
     sorted keys, compact separators, no NaN — identical input, identical
     bytes, on every platform."""
-    return json.dumps(
-        payload, sort_keys=True, separators=(",", ":"), allow_nan=False
-    )
+    return _CANONICAL.encode(payload)
 
 
 def jsonable(value: Any) -> Any:
@@ -67,6 +72,12 @@ def jsonable(value: Any) -> Any:
     dataclasses still canonicalize deterministically."""
     if value is None or isinstance(value, (bool, int, float, str)):
         return value
+    # Plain dicts and lists first: most values are, and a type test is
+    # about ten times cheaper than the Mapping ABC's isinstance check.
+    if type(value) is dict:
+        return {str(k): jsonable(v) for k, v in value.items()}
+    if type(value) is list:
+        return [jsonable(v) for v in value]
     if isinstance(value, Mapping):
         return {str(k): jsonable(v) for k, v in value.items()}
     if isinstance(value, (list, tuple, set, frozenset)):
@@ -115,7 +126,12 @@ class LedgerRecord:
 
         Two records with equal fingerprints but unequal identities are a
         determinism violation; equal identities are the same result (the
-        append path treats the second as a cache hit)."""
+        append path treats the second as a cache hit).  Encoded once per
+        record: dedupe, cache probes and :meth:`to_line` reuse it."""
+        return self._identity
+
+    @functools.cached_property
+    def _identity(self) -> str:
         return canonical_json(
             {
                 "schema": self.schema,
@@ -132,22 +148,11 @@ class LedgerRecord:
         )
 
     def to_line(self) -> str:
-        """The record's canonical JSONL line (no trailing newline)."""
-        return canonical_json(
-            {
-                "schema": self.schema,
-                "fingerprint": self.fingerprint,
-                "kind": self.kind,
-                "experiment": self.experiment,
-                "seed": self.seed,
-                "config": self.config,
-                "code_version": self.code_version,
-                "outcome": self.outcome,
-                "metrics": self.metrics,
-                "timings": self.timings,
-                "provenance": self.provenance,
-            }
-        )
+        """The record's canonical JSONL line (no trailing newline): its
+        identity with ``"timings"`` added, which sorts after every other
+        key and so goes just before the closing brace."""
+        timings = canonical_json(self.timings)
+        return f'{self._identity[:-1]},"timings":{timings}}}'
 
     @classmethod
     def from_payload(cls, payload: Mapping[str, Any]) -> "LedgerRecord":
@@ -181,18 +186,21 @@ def make_record(
     metrics: Any = None,
     timings: Mapping[str, Any] | None = None,
     code: str | None = None,
+    fingerprint: str | None = None,
 ) -> LedgerRecord:
     """Build a record, computing its fingerprint and provenance stamp.
 
     ``metrics`` may be a :class:`~repro.obs.metrics.MetricsSnapshot` (its
     JSON payload — series included — is taken) or any JSON-able mapping.
+    A caller that already holds the cell's :func:`compute_fingerprint`
+    for ``seed``, ``config`` and ``code`` passes it as ``fingerprint``.
     """
     if metrics is not None and hasattr(metrics, "to_json"):
         metrics = json.loads(metrics.to_json())
     code = code or code_version()
     clean_config = jsonable(dict(config))
     return LedgerRecord(
-        fingerprint=compute_fingerprint(seed, clean_config, code),
+        fingerprint=fingerprint or compute_fingerprint(seed, clean_config, code),
         kind=kind,
         experiment=experiment,
         seed=seed,
@@ -201,7 +209,7 @@ def make_record(
         outcome=jsonable(dict(outcome)),
         metrics=jsonable(metrics) if metrics is not None else None,
         timings=jsonable(dict(timings)) if timings else {},
-        provenance=jsonable(provenance()),
+        provenance=provenance(),
     )
 
 
@@ -224,9 +232,12 @@ def locked_append(path: pathlib.Path | str, text: str) -> None:
     append degrades to a plain buffered write (single-writer semantics,
     the pre-existing contract).
     """
-    path = pathlib.Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "a") as handle:
+    try:
+        handle = open(path, "a")
+    except FileNotFoundError:
+        pathlib.Path(path).parent.mkdir(parents=True, exist_ok=True)
+        handle = open(path, "a")
+    with handle:
         if fcntl is not None:
             fcntl.flock(handle.fileno(), fcntl.LOCK_EX)
         try:
@@ -362,6 +373,9 @@ class RunLedger:
         #: How many of the last ``_records`` this handle appended after
         #: the offset: refresh() meets their lines again and skips them.
         self._unread = 0
+        #: While :meth:`append_all` runs, the records its :meth:`append`
+        #: calls accepted, by identity, waiting for the batch's one write.
+        self._batch: dict[str, LedgerRecord] | None = None
         #: Cache accounting for this handle's lifetime: how many
         #: :meth:`cached` probes were served vs missed.  Campaign resume
         #: reporting ("N cells served from checkpoint") reads these.
@@ -515,7 +529,9 @@ class RunLedger:
     def append(self, record: LedgerRecord) -> bool:
         """Append a record unless an identical one is already filed.
 
-        Returns ``True`` when a line was written.  A record whose
+        Returns ``True`` when a line was written (within
+        :meth:`append_all`: when the record joined the batch's write,
+        which a second equal record in the batch does not).  A record whose
         :meth:`~LedgerRecord.identity` already exists is a cache hit and
         is *not* re-appended (append-only does not mean append-duplicates);
         a record whose fingerprint exists under a *different* identity IS
@@ -523,22 +539,52 @@ class RunLedger:
         must survive for :func:`repro.obs.projections.detect_violations`.
         """
         self._load()
-        assert self._records is not None and self._identities is not None
+        assert self._identities is not None
         identity = record.identity()
         if identity in self._identities:
             return False
+        if self._batch is not None:
+            if identity in self._batch:
+                return False
+            self._batch[identity] = record
+            return True
         # Locked append: concurrent writers (serve dispatcher + a CLI run
         # sharing one ledger) interleave whole lines, never torn records.
         locked_append(self.path, record.to_line() + "\n")
-        self._records.append(record)
-        self._identities.add(identity)
-        self._by_fingerprint.setdefault(record.fingerprint, []).append(record)
-        self._unread += 1
+        self._index_appended([record])
         return True
 
     def append_all(self, records: Iterable[LedgerRecord]) -> int:
-        """Append many records; returns how many lines were written."""
-        return sum(1 for record in records if self.append(record))
+        """Append many records in one locked write; returns how many
+        lines were written.
+
+        Each record still passes through :meth:`append` (so subclasses
+        and instrumentation see every one), which only collects the new
+        identities; the batch is then written at once, in order, and
+        indexed only after the write succeeded.
+        """
+        self._batch = batch = {}
+        try:
+            for record in records:
+                self.append(record)
+        finally:
+            self._batch = None
+        if batch:
+            fresh = list(batch.values())
+            locked_append(
+                self.path, "".join(record.to_line() + "\n" for record in fresh)
+            )
+            self._index_appended(fresh)
+        return len(batch)
+
+    def _index_appended(self, records: list[LedgerRecord]) -> None:
+        """Index records this handle just wrote to the file."""
+        assert self._records is not None and self._identities is not None
+        for record in records:
+            self._records.append(record)
+            self._identities.add(record.identity())
+            self._by_fingerprint.setdefault(record.fingerprint, []).append(record)
+        self._unread += len(records)
 
     def gc(self) -> tuple[int, int]:
         """Rewrite the file dropping exact-duplicate identities.

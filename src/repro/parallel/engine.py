@@ -320,7 +320,7 @@ class _Collector:
         total: int,
         policy: "FailurePolicy",
         progress: Callable[[int, int], None] | None,
-        on_result: Callable[[int, Any], None] | None,
+        on_result: Callable[[list[tuple[int, Any]]], None] | None,
         admission: "AdmissionController | None",
     ):
         from repro.resilience.policy import PartialResult
@@ -351,15 +351,17 @@ class _Collector:
         are then terminal.
         """
         errors = []
+        successes = []
         for status, index, payload in outcomes:
             if status == "ok":
                 self.partial.results[index] = payload
-                if self.on_result is not None:
-                    self.on_result(index, payload)
+                successes.append((index, payload))
                 if self.admission is not None:
                     self.admission.charge(payload)
             else:
                 errors.append(payload)
+        if successes and self.on_result is not None:
+            self.on_result(successes)
         if errors and self.policy.should_retry(attempt, timed_out):
             self.partial.retries += 1
             self._advance(len(outcomes) - len(errors))
@@ -862,7 +864,7 @@ def run_tasks_partial(
     metrics: Any = None,
     policy: "FailurePolicy | None" = None,
     task_timeout: float | None = None,
-    on_result: Callable[[int, Any], None] | None = None,
+    on_result: Callable[[list[tuple[int, Any]]], None] | None = None,
     admission: "AdmissionController | None" = None,
 ) -> "PartialResult":
     """Run ``fn`` over every task under a failure policy; never raise.
@@ -886,9 +888,12 @@ def run_tasks_partial(
             cannot be killed); the worker is SIGKILLed and every task of
             its unit counts as a timeout, retried when
             ``policy.retry_timeouts`` allows.
-        on_result: ``on_result(index, result)`` invoked in the *parent*
-            for every successful result as it arrives (any order) —
-            the hook incremental checkpointing hangs from.
+        on_result: ``on_result(results)`` invoked in the *parent* once
+            per settled unit attempt that succeeded anywhere, with that
+            attempt's ``(index, result)`` pairs in index order (units
+            settle in any order; a retried task's pair comes with its
+            retry) — the hook incremental checkpointing hangs from,
+            every success seen exactly once.
         admission: optional
             :class:`~repro.resilience.budget.AdmissionController`; tasks
             it refuses are shed (recorded, never run) and completed
@@ -959,7 +964,7 @@ def run_tasks(
     metrics: Any = None,
     policy: "FailurePolicy | None" = None,
     task_timeout: float | None = None,
-    on_result: Callable[[int, Any], None] | None = None,
+    on_result: Callable[[list[tuple[int, Any]]], None] | None = None,
 ) -> list[Any]:
     """Run ``fn`` over every task, possibly across processes; keep order.
 
@@ -997,8 +1002,8 @@ def run_tasks(
             is an error.
         task_timeout: per-unit wall-clock deadline in seconds (pool only);
             see :func:`run_tasks_partial`.
-        on_result: parent-side ``on_result(index, result)`` success hook;
-            see :func:`run_tasks_partial`.
+        on_result: parent-side ``on_result(results)`` success hook, once
+            per settled unit; see :func:`run_tasks_partial`.
 
     Returns:
         ``[fn(t) for t in tasks]`` — same values, same order, regardless of

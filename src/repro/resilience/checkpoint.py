@@ -5,7 +5,7 @@ records only *after* the whole campaign returned — an interrupt at cell
 199/200 lost all 199.  :class:`LedgerCheckpointer` turns the ledger into
 a live checkpoint: completed cells are buffered as they arrive (any
 completion order, any worker count) and flushed to the ledger strictly
-in submission order, so
+in submission order, one write per settled engine unit, so
 
 - the ledger's bytes are identical whether the campaign ran serially,
   on eight workers, or through three interrupt/resume cycles, and
@@ -18,8 +18,8 @@ in submission order, so
 failure policy, deadline, metrics, progress, ledger), and
 :func:`run_checkpointed` is the one piece of plumbing every campaign
 entry point (sweeps, the fuzz grid, the mutation campaign) shares:
-fingerprint each cell, serve cached records, run the rest in one engine
-call under the plan and checkpoint them through a
+fingerprint each cell once, serve cached records, run the rest in one
+engine call under the plan and checkpoint them through a
 :class:`LedgerCheckpointer`.
 
 :class:`CrashOnce` is the matching chaos tool: a task wrapper that
@@ -46,10 +46,10 @@ class LedgerCheckpointer:
     """Flush completed campaign cells to a ledger in submission order.
 
     Feed it ``(position, record)`` pairs in whatever order the pool
-    completes them; it appends to the ledger only the contiguous prefix
-    of positions seen so far.  Positions served from cache (no fresh
-    record to write) are marked with :meth:`skip` so they do not block
-    the prefix.
+    completes them; each :meth:`flush` appends to the ledger, in one
+    write, the contiguous prefix of positions seen so far.  Positions
+    served from cache (no fresh record to write) are marked with
+    :meth:`skip` so they do not block the prefix.
     """
 
     def __init__(self, ledger: "RunLedger"):
@@ -62,14 +62,14 @@ class LedgerCheckpointer:
     def skip(self, position: int) -> None:
         """Mark ``position`` as cache-served: nothing to write for it."""
         self._skipped.add(position)
-        self._flush()
 
     def offer(self, position: int, record: "LedgerRecord") -> None:
-        """Buffer a freshly computed cell's record; flush what's ready."""
+        """Buffer a freshly computed cell's record until the next flush."""
         self._pending[position] = record
-        self._flush()
 
-    def _flush(self) -> None:
+    def flush(self) -> None:
+        """Append the records of the contiguous prefix ready so far."""
+        ready = []
         while True:
             if self._next in self._skipped:
                 self._skipped.discard(self._next)
@@ -77,10 +77,12 @@ class LedgerCheckpointer:
                 continue
             record = self._pending.pop(self._next, None)
             if record is None:
-                return
-            self._ledger.append(record)
-            self.flushed += 1
+                break
+            ready.append(record)
             self._next += 1
+        if ready:
+            self._ledger.append_all(ready)
+            self.flushed += len(ready)
 
     def close(self) -> None:
         """Assert nothing completed is still buffered (a position hole
@@ -143,10 +145,11 @@ def run_checkpointed(
     """Run ``fn`` over ``tasks`` as ``plan`` says: one engine call.
 
     ``cells[i] = (seed, config)`` is task ``i``'s content address.  With
-    a ledger in the plan, a cached record that ``decode`` turns into a
-    value (not ``None``) serves its task, and each fresh result
-    checkpoints as a ``kind`` record with ``encode(result)`` as its
-    outcome, flushed in submission order.  The other tasks go to
+    a ledger in the plan, each cell is fingerprinted once; a cached
+    record that ``decode`` turns into a value (not ``None``) serves its
+    task, and each fresh result checkpoints as a ``kind`` record with
+    ``encode(result)`` as its outcome, flushed in submission order once
+    per settled engine unit.  The other tasks go to
     :func:`~repro.parallel.run_tasks_partial` with the plan's engine
     fields.
 
@@ -163,31 +166,41 @@ def run_checkpointed(
     checkpoint = None
     if ledger is not None:
         from repro.obs.ledger import compute_fingerprint, make_record
+        from repro.version import code_version
 
+        code = code_version()
         pending = []
+        fingerprints = []
         checkpointer = LedgerCheckpointer(ledger)
         for index, (seed, config) in enumerate(cells):
-            record = ledger.cached(compute_fingerprint(seed, config))
+            fingerprint = compute_fingerprint(seed, config, code)
+            record = ledger.cached(fingerprint)
             value = None if record is None else decode(record)
             if value is None:
                 pending.append(index)
+                fingerprints.append(fingerprint)
             else:
                 values[index] = value
                 checkpointer.skip(index)
 
-        def checkpoint(position: int, value: Any) -> None:
-            index = pending[position]
-            seed, config = cells[index]
-            checkpointer.offer(
-                index,
-                make_record(
-                    kind=kind,
-                    experiment=experiment,
-                    seed=seed,
-                    config=config,
-                    outcome=encode(value),
-                ),
-            )
+        def checkpoint(results: list[tuple[int, Any]]) -> None:
+            """One settled unit's results: one ledger write."""
+            for position, value in results:
+                index = pending[position]
+                seed, config = cells[index]
+                checkpointer.offer(
+                    index,
+                    make_record(
+                        kind=kind,
+                        experiment=experiment,
+                        seed=seed,
+                        config=config,
+                        outcome=encode(value),
+                        code=code,
+                        fingerprint=fingerprints[position],
+                    ),
+                )
+            checkpointer.flush()
 
     partial = run_tasks_partial(
         fn,

@@ -54,10 +54,11 @@ class _TimedLedger(RunLedger):
 
     The dispatcher hands its one instance to the workload builders; the
     experiment layer's :class:`~repro.resilience.checkpoint.
-    LedgerCheckpointer` flushes through :meth:`append` as cells finish,
-    so the first/last append times bracket exactly the job's
-    checkpointing activity — which the dispatcher then emits as the
-    job's ``checkpoint`` span in the job trace.  :meth:`begin_job`
+    LedgerCheckpointer` flushes each settled unit through
+    :meth:`~repro.obs.ledger.RunLedger.append_all`, which passes every
+    record through :meth:`append`, so the first/last append times
+    bracket the job's checkpointing activity — which the dispatcher then
+    emits as the job's ``checkpoint`` span in the job trace.  :meth:`begin_job`
     zeroes that accounting, and the cache hits and misses, per job.
     """
 

@@ -3,9 +3,8 @@
 Cross-run telemetry is only comparable when every record says *which
 code* produced it.  This module is the single source of that identity:
 
-- :func:`package_version` — the installed ``repro`` distribution version
-  (falling back to the version pinned in ``pyproject.toml`` when the
-  package runs straight from a source tree);
+- :func:`package_version` — the version of the ``repro`` code that is
+  running (``repro.__version__``, which ``pyproject.toml`` pins too);
 - :func:`git_sha` — the current commit, when the source tree is a git
   checkout and ``git`` is available (empty string otherwise — never an
   error: provenance is best-effort by design);
@@ -15,7 +14,8 @@ code* produced it.  This module is the single source of that identity:
   fingerprint, so records from different code generations never collide
   (and never cache-hit each other);
 - :func:`provenance` — the JSON-able stamp carried by every ledger
-  record and every ``BENCH_*.json`` benchmark artifact.
+  record and every ``BENCH_*.json`` benchmark artifact, built once per
+  process and code version.
 
 ``REPRO_CODE_VERSION`` overrides :func:`code_version` wholesale — used by
 tests that need stable fingerprints and by deployments that version code
@@ -36,23 +36,18 @@ LEDGER_SCHEMA = 1
 #: Environment override for :func:`code_version` (tests, release pinning).
 CODE_VERSION_ENV = "REPRO_CODE_VERSION"
 
-#: Fallback when package metadata is unavailable (source-tree runs).
-_FALLBACK_VERSION = "1.0.0"
 
-
-@lru_cache(maxsize=1)
 def package_version() -> str:
-    """The installed ``repro`` version, or the source-tree fallback.
+    """The version of the running ``repro`` code: ``repro.__version__``.
 
-    Cached per process, like :func:`git_sha`: every ledger record's
-    provenance stamp and every fingerprint asks for it.
+    Installed metadata is not consulted: it costs an
+    ``importlib.metadata`` import per process, and a source tree on
+    ``PYTHONPATH`` can shadow an older installed wheel whose metadata
+    would misname the code that actually runs.
     """
-    try:
-        from importlib.metadata import version
+    import repro
 
-        return version("repro")
-    except Exception:
-        return _FALLBACK_VERSION
+    return repro.__version__
 
 
 @lru_cache(maxsize=1)
@@ -96,10 +91,17 @@ def code_version() -> str:
 
 
 def provenance() -> dict[str, object]:
-    """The JSON-able provenance stamp for artifacts and ledger records."""
+    """The JSON-able provenance stamp for artifacts and ledger records
+    (a fresh copy: callers may extend it)."""
+    return dict(_stamp(code_version()))
+
+
+@lru_cache(maxsize=16)
+def _stamp(code: str) -> dict[str, object]:
+    """The provenance stamp, built once per process and code version."""
     return {
         "package": package_version(),
         "git_sha": git_sha(),
         "ledger_schema": LEDGER_SCHEMA,
-        "code_version": code_version(),
+        "code_version": code,
     }

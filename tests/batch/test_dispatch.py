@@ -104,7 +104,7 @@ def test_flat_indices_and_order():
         list(range(7)),
         batch_size=3,
         workers=0,
-        on_result=lambda index, value: seen.append((index, value)),
+        on_result=seen.extend,
     )
     assert partial.results == [0, 10, 20, 30, 40, 50, 60]
     assert sorted(seen) == [(i, i * 10) for i in range(7)]

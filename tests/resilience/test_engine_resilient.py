@@ -311,9 +311,10 @@ def test_resilience_counters_flow_into_metrics():
 def test_on_result_sees_every_success_exactly_once(workers):
     seen = {}
 
-    def record(index, value):
-        assert index not in seen
-        seen[index] = value
+    def record(results):
+        for index, value in results:
+            assert index not in seen
+            seen[index] = value
 
     run_tasks_partial(
         _square, [1, 2, 3, 4], workers=workers, on_result=record

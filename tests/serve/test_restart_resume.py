@@ -4,7 +4,8 @@ The acceptance scenario of the service layer, exercised against *real*
 server processes: a sweep job is killed partway through, the ledger is
 left holding a valid submission-order prefix, and the restarted server
 requeues the job and recomputes only the missing fingerprints — ending
-with ledger bytes identical to an undisturbed CLI run.
+with ledger bytes identical to an undisturbed CLI run.  A Ctrl-C'd
+server stops its parked worker pool and exits cleanly.
 """
 
 import os
@@ -192,3 +193,32 @@ def test_sigterm_midjob_then_restart_resumes_from_prefix(tmp_path, workers):
 
     # The resumed ledger is byte-identical to the undisturbed CLI run.
     assert ledger.read_bytes() == reference.read_bytes()
+
+
+@pytest.mark.slow
+@pytest.mark.skipif(not Path("/proc/self/stat").exists(), reason="needs /proc")
+def test_sigint_with_a_parked_pool_exits_cleanly(tmp_path):
+    """Ctrl-C after three jobs on the lifetime pool: the server stops its
+    parked workers and exits 0 within 10 s, with no stack dump (which
+    ``repro serve`` prints only when stopping overruns)."""
+    proc, url = _boot_server(tmp_path / "state", workers=2)
+    try:
+        client = ServeClient(url)
+        for seed_base in range(3):
+            job = client.submit(
+                "sweep", {"n_values": [2, 3], "reps": 4, "seed_base": seed_base}
+            )
+            assert client.wait(job["id"], timeout=60, poll=0.05)["state"] == "DONE"
+        children = _children(proc.pid)
+        assert len(children) >= 2  # the parked pool workers
+        os.kill(proc.pid, signal.SIGINT)
+        assert proc.wait(timeout=10) == 0
+        _assert_gone(children)
+        output = proc.stdout.read()
+    finally:
+        if proc.poll() is None:
+            proc.kill()
+            proc.wait(timeout=10)
+        proc.stdout.close()
+    assert "shutting down" in output
+    assert "most recent call first" not in output

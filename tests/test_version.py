@@ -1,6 +1,10 @@
 """Tests for the provenance helper (``repro.version``)."""
 
+import os
+import pathlib
 import re
+import subprocess
+import sys
 
 from repro.version import (
     CODE_VERSION_ENV,
@@ -39,20 +43,37 @@ def test_provenance_payload_shape():
     assert payload["code_version"] == code_version()
 
 
-def test_package_version_is_looked_up_once_per_process(monkeypatch):
-    import importlib.metadata
+def test_package_version_is_the_running_source_version():
+    import repro
 
-    lookups = []
+    pyproject = pathlib.Path(__file__).resolve().parents[1] / "pyproject.toml"
+    pinned = re.search(r'^version = "([^"]+)"$', pyproject.read_text(), re.M)
+    assert pinned is not None
+    assert package_version() == repro.__version__ == pinned.group(1)
+    assert provenance()["package"] == repro.__version__
 
-    def counting_version(name):
-        lookups.append(name)
-        return "9.9.9"
 
-    monkeypatch.setattr(importlib.metadata, "version", counting_version)
-    package_version.cache_clear()
-    try:
-        first, second = provenance(), provenance()
-    finally:
-        package_version.cache_clear()
-    assert first["package"] == second["package"] == "9.9.9"
-    assert lookups == ["repro"]
+def test_ledger_recording_never_imports_package_metadata(tmp_path):
+    """Stamping provenance reads ``repro.__version__``: a CLI sweep that
+    writes ledger records loads no ``importlib.metadata``."""
+    import repro
+
+    script = (
+        "import contextlib, io, sys\n"
+        "from repro.cli import main\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    code = main(['sweep', '--n-values', '2', '--reps', '2',\n"
+        f"                 '--ledger', {str(tmp_path / 'ledger.jsonl')!r}])\n"
+        "print(code, 'importlib.metadata' in sys.modules)\n"
+    )
+    src = str(pathlib.Path(repro.__file__).resolve().parents[1])
+    done = subprocess.run(
+        [sys.executable, "-c", script],
+        env={**os.environ, "PYTHONPATH": src},
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.split() == ["0", "False"]
+    assert len((tmp_path / "ledger.jsonl").read_text().splitlines()) == 2
