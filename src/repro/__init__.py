@@ -35,27 +35,60 @@ Quickstart::
     print(run.decisions)                     # e.g. {0: 1, 1: 1, 2: 1, 3: 1}
 """
 
-from repro.consensus import (
-    AdsConsensus,
-    AdsConsensusObject,
-    AspnesHerlihyConsensus,
-    AtomicCoinConsensus,
-    ConsensusRun,
-    LocalCoinConsensus,
-    MultivaluedConsensusObject,
-    validate_run,
+import importlib
+import sys
+
+
+def _lazy_exports(package: str, exports: dict[str, tuple[str, ...]]):
+    """The PEP 562 module ``__getattr__`` and ``__dir__`` of ``package``.
+
+    ``exports`` maps each submodule to the public names it defines.  A
+    name is imported from its submodule on first access and cached in
+    the package namespace, so importing one submodule of a package
+    loads none of its siblings.
+    """
+    origins = {name: module for module, names in exports.items() for name in names}
+    namespace = sys.modules[package].__dict__
+
+    def __getattr__(name: str):
+        if name not in origins:
+            raise AttributeError(f"module {package!r} has no attribute {name!r}")
+        value = getattr(importlib.import_module(origins[name]), name)
+        namespace[name] = value
+        return value
+
+    def __dir__() -> list[str]:
+        return sorted(namespace.keys() | origins.keys())
+
+    return __getattr__, __dir__
+
+
+__getattr__, __dir__ = _lazy_exports(
+    __name__,
+    {
+        "repro.consensus": (
+            "AdsConsensus",
+            "AdsConsensusObject",
+            "AspnesHerlihyConsensus",
+            "AtomicCoinConsensus",
+            "ConsensusRun",
+            "LocalCoinConsensus",
+            "MultivaluedConsensusObject",
+            "validate_run",
+        ),
+        "repro.obs": ("MetricsRegistry", "MetricsSnapshot", "Profiler"),
+        "repro.universal": ("UniversalObject",),
+        "repro.runtime": (
+            "CrashPlan",
+            "RandomScheduler",
+            "RoundRobinScheduler",
+            "ScriptedScheduler",
+            "Simulation",
+            "SplitAdversary",
+        ),
+        "repro.runtime.adversary": ("LockstepAdversary",),
+    },
 )
-from repro.obs import MetricsRegistry, MetricsSnapshot, Profiler
-from repro.universal import UniversalObject
-from repro.runtime import (
-    CrashPlan,
-    RandomScheduler,
-    RoundRobinScheduler,
-    ScriptedScheduler,
-    Simulation,
-    SplitAdversary,
-)
-from repro.runtime.adversary import LockstepAdversary
 
 __version__ = "1.0.0"
 

@@ -9,13 +9,20 @@ rows, and :mod:`repro.analysis.reporting` renders the paper-vs-measured
 tables that EXPERIMENTS.md records.
 """
 
-from repro.analysis.experiment import Sweep, repeat_runs, sweep_table
-from repro.analysis.reporting import format_table, render_rows
-from repro.analysis.stats import (
-    growth_exponent,
-    mean_and_ci,
-    summarize,
-    wilson_interval,
+from repro import _lazy_exports
+
+__getattr__, __dir__ = _lazy_exports(
+    __name__,
+    {
+        "repro.analysis.experiment": ("Sweep", "repeat_runs", "sweep_table"),
+        "repro.analysis.reporting": ("format_table", "render_rows"),
+        "repro.analysis.stats": (
+            "growth_exponent",
+            "mean_and_ci",
+            "summarize",
+            "wilson_interval",
+        ),
+    },
 )
 
 __all__ = [

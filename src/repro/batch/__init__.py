@@ -11,6 +11,13 @@ the CLI does not load it.  See ``docs/performance.md`` ("Batched
 execution").
 """
 
-from repro.batch.engine import LaneResult, LaneSpec, run_lanes
+from repro import _lazy_exports
+
+__getattr__, __dir__ = _lazy_exports(
+    __name__,
+    {
+        "repro.batch.engine": ("LaneResult", "LaneSpec", "run_lanes"),
+    },
+)
 
 __all__ = ["LaneResult", "LaneSpec", "run_lanes"]

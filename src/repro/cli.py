@@ -67,25 +67,24 @@ safety check fails.
 from __future__ import annotations
 
 import argparse
-import random
-import statistics
 import sys
 from typing import Sequence
 
+# The parser's needs plus the campaign path that ``sweep``, ``chaos`` and
+# ``serve`` run (run plan, engine, ledger, experiment layer); every other
+# command imports what it runs in its own function.
+from repro.analysis.experiment import sweep_table
 from repro.analysis.reporting import format_table
-from repro.coin import BoundedWalkSharedCoin, coin_flipper_program
-from repro.consensus import AdsConsensus, validate_run
-from repro.runtime import (
-    CrashPlan,
-    RandomScheduler,
-    RecoveryPlan,
-    Simulation,
-    WalkBalancingAdversary,
+from repro.obs.ledger import RunLedger, ledger_from_env, truncate_torn_tail
+from repro.parallel import resolve_workers
+from repro.resilience import FailurePolicy, RetryBackoff, RunPlan
+from repro.runtime import CrashPlan, RecoveryPlan
+from repro.workloads import (
+    PROTOCOLS,
+    SCHEDULERS,
+    build_sweep,
+    make_scheduler as _make_scheduler,
 )
-from repro.obs.export import export_trace
-from repro.runtime.timeline import render_timeline
-from repro.strip import DistanceGraph, EdgeCounters, ShrunkenTokenGame
-from repro.workloads import PROTOCOLS, SCHEDULERS, make_scheduler as _make_scheduler
 
 EXPERIMENTS = {
     "e1": "Lemma 3.1 — coin disagreement probability vs b",
@@ -134,8 +133,6 @@ def _open_ledger(args):
     is set.  ``--no-cache`` keeps recording on but makes every
     fingerprint lookup miss.
     """
-    from repro.obs.ledger import RunLedger, ledger_from_env, truncate_torn_tail
-
     resume = getattr(args, "resume", "")
     if resume:
         truncate_torn_tail(resume)
@@ -209,8 +206,6 @@ def _resilience_policy(args):
     """Build the engine :class:`FailurePolicy` from ``--retries`` flags."""
     if not getattr(args, "retries", 0):
         return None
-    from repro.resilience import FailurePolicy, RetryBackoff
-
     seed = getattr(args, "seed", None)
     if seed is None:
         seed = getattr(args, "seed_base", 0)
@@ -228,8 +223,6 @@ def _run_plan(args, metrics=None):
     """The :class:`~repro.resilience.RunPlan` of a campaign command, built
     once from the flags of :func:`_add_run_plan_args` (plus ``--progress``
     where the command has it) and shared by every stage it runs."""
-    from repro.resilience import RunPlan
-
     return RunPlan(
         workers=args.workers,
         batch_size=args.batch,
@@ -271,6 +264,8 @@ def _print_run_record(record) -> int:
 
 
 def cmd_run(args) -> int:
+    from repro.consensus import validate_run
+
     inputs = _parse_inputs(args.inputs)
     ledger = _open_ledger(args)
     config = {
@@ -340,6 +335,8 @@ def cmd_run(args) -> int:
             )
         )
     if args.timeline and run.simulation is not None:
+        from repro.runtime.timeline import render_timeline
+
         print()
         print(
             render_timeline(
@@ -390,6 +387,8 @@ def cmd_trace(args) -> int:
     ``STATE_DIR/trace.jsonl``) into the same exporters — one Perfetto
     track per job, wall-clock microseconds on the time axis.
     """
+    from repro.obs.export import export_trace
+
     if args.from_job_trace:
         from repro.serve.telemetry import job_trace_to_trace, load_job_trace
 
@@ -433,6 +432,11 @@ def cmd_trace(args) -> int:
 
 
 def cmd_coin(args) -> int:
+    import statistics
+
+    from repro.coin import BoundedWalkSharedCoin, coin_flipper_program
+    from repro.runtime import RandomScheduler, Simulation, WalkBalancingAdversary
+
     rows = []
     disagreements = 0
     flips = []
@@ -467,6 +471,10 @@ def cmd_coin(args) -> int:
 
 
 def cmd_strip(args) -> int:
+    import random
+
+    from repro.strip import DistanceGraph, EdgeCounters, ShrunkenTokenGame
+
     rng = random.Random(args.seed)
     game = ShrunkenTokenGame(args.n, args.K)
     graph = DistanceGraph.initial(args.n, args.K)
@@ -570,9 +578,9 @@ def cmd_chaos(args) -> int:
     import json
     import tempfile
 
+    from repro.consensus import AdsConsensus
     from repro.faults.campaign import run_mutation_campaign
     from repro.obs.metrics import MetricsRegistry
-    from repro.parallel import resolve_workers
     from repro.verify.fuzz import fuzz_consensus
 
     registry = MetricsRegistry(enabled=True)
@@ -700,10 +708,6 @@ def cmd_sweep(args) -> int:
     (n, seed) cell is an independent simulation, so ``--workers`` fans the
     grid out across cores and the table is identical for any worker count.
     """
-    from repro.analysis.experiment import sweep_table
-    from repro.parallel import resolve_workers
-    from repro.workloads import build_sweep
-
     n_values = _parse_inputs(args.n_values)
     metric = args.metric
     plan = _run_plan(args)
@@ -1158,19 +1162,21 @@ def cmd_serve(args) -> int:
         os._exit(0)
 
     signal.signal(signal.SIGTERM, terminate)
-    server.start()
-    print(f"repro serve: listening on {server.url}", flush=True)
-    print(
-        f"repro serve: ledger {config.resolved_ledger()}  "
-        f"jobs-log {config.resolved_jobs()}  workers {server.dispatcher.workers}",
-        flush=True,
-    )
-    print(
-        f"repro serve: job-trace {config.resolved_trace()}"
-        + (f"  access-log {config.access_log}" if config.access_log else ""),
-        flush=True,
-    )
+    # Start-up and banner sit inside the try: a Ctrl-C that lands the
+    # moment "listening on" is printed still stops the server.
     try:
+        server.start()
+        print(f"repro serve: listening on {server.url}", flush=True)
+        print(
+            f"repro serve: ledger {config.resolved_ledger()}  "
+            f"jobs-log {config.resolved_jobs()}  workers {server.dispatcher.workers}",
+            flush=True,
+        )
+        print(
+            f"repro serve: job-trace {config.resolved_trace()}"
+            + (f"  access-log {config.access_log}" if config.access_log else ""),
+            flush=True,
+        )
         server.serve_forever()
     except KeyboardInterrupt:
         print("\nrepro serve: shutting down")
@@ -1476,7 +1482,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     experiments.set_defaults(func=cmd_experiments)
 
-    from repro.obs.projections import DEFAULT_TOLERANCE, DEFAULT_WINDOW, TREND_METRICS
+    from repro.obs.trends import DEFAULT_TOLERANCE, DEFAULT_WINDOW, TREND_METRICS
 
     history = sub.add_parser(
         "history",

@@ -25,12 +25,19 @@ standalone coins and the consensus protocol; :mod:`repro.coin.analysis`
 holds the paper's closed-form predictions.
 """
 
-from repro.coin.bounded import BoundedWalkSharedCoin
-from repro.coin.interface import SharedCoin, coin_flipper_program
-from repro.coin.local import local_coin_flip
-from repro.coin.logic import HEADS, TAILS, UNDECIDED, coin_value, default_m
-from repro.coin.oracle import OracleCoin
-from repro.coin.walk import WalkSharedCoin
+from repro import _lazy_exports
+
+__getattr__, __dir__ = _lazy_exports(
+    __name__,
+    {
+        "repro.coin.bounded": ("BoundedWalkSharedCoin",),
+        "repro.coin.interface": ("SharedCoin", "coin_flipper_program"),
+        "repro.coin.local": ("local_coin_flip",),
+        "repro.coin.logic": ("HEADS", "TAILS", "UNDECIDED", "coin_value", "default_m"),
+        "repro.coin.oracle": ("OracleCoin",),
+        "repro.coin.walk": ("WalkSharedCoin",),
+    },
+)
 
 __all__ = [
     "BoundedWalkSharedCoin",

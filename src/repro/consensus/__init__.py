@@ -18,21 +18,28 @@ All protocols satisfy consistency and validity (checked by
 a finite expected number of steps against the implemented adversaries.
 """
 
-from repro.consensus.abrahamson import LocalCoinConsensus
-from repro.consensus.ads import AdsConsensus, AdsConsensusObject
-from repro.consensus.aspnes_herlihy import AspnesHerlihyConsensus
-from repro.consensus.bounded_local import BoundedLocalCoinConsensus
-from repro.consensus.cil import AtomicCoinConsensus
-from repro.consensus.interface import BOTTOM, ConsensusProtocol, ConsensusRun
-from repro.consensus.multivalued import (
-    MultivaluedAdsConsensus,
-    MultivaluedConsensusObject,
-)
-from repro.consensus.validation import (
-    check_consistency,
-    check_validity,
-    summarize_memory,
-    validate_run,
+from repro import _lazy_exports
+
+__getattr__, __dir__ = _lazy_exports(
+    __name__,
+    {
+        "repro.consensus.abrahamson": ("LocalCoinConsensus",),
+        "repro.consensus.ads": ("AdsConsensus", "AdsConsensusObject"),
+        "repro.consensus.aspnes_herlihy": ("AspnesHerlihyConsensus",),
+        "repro.consensus.bounded_local": ("BoundedLocalCoinConsensus",),
+        "repro.consensus.cil": ("AtomicCoinConsensus",),
+        "repro.consensus.interface": ("BOTTOM", "ConsensusProtocol", "ConsensusRun"),
+        "repro.consensus.multivalued": (
+            "MultivaluedAdsConsensus",
+            "MultivaluedConsensusObject",
+        ),
+        "repro.consensus.validation": (
+            "check_consistency",
+            "check_validity",
+            "summarize_memory",
+            "validate_run",
+        ),
+    },
 )
 
 __all__ = [

@@ -22,9 +22,16 @@ See ``docs/robustness.md`` for the fault taxonomy and which paper property
 survives which fault class.
 """
 
-from repro.faults.injector import FaultInjector, InjectionRecord
-from repro.faults.plan import FAULT_KINDS, FaultPlan, corrupt_value
-from repro.faults.watchdog import Watchdog, WatchdogAlert
+from repro import _lazy_exports
+
+__getattr__, __dir__ = _lazy_exports(
+    __name__,
+    {
+        "repro.faults.injector": ("FaultInjector", "InjectionRecord"),
+        "repro.faults.plan": ("FAULT_KINDS", "FaultPlan", "corrupt_value"),
+        "repro.faults.watchdog": ("Watchdog", "WatchdogAlert"),
+    },
+)
 
 __all__ = [
     "FAULT_KINDS",

@@ -22,63 +22,71 @@ The paper's claims are quantitative, so the reproduction measures itself:
   run by (seed, config, code version) with cache-hit semantics;
 - :mod:`repro.obs.projections` — cross-run history, trend series,
   rolling-baseline regression gating and the determinism-violation
-  (flakiness) detector behind ``repro history``.
+  (flakiness) detector behind ``repro history``, over the trend metrics
+  of :mod:`repro.obs.trends`.
 
 See ``docs/observability.md`` for the metric catalog and how experiments
 E1–E12 map onto it.
 """
 
-from repro.obs.metrics import (
-    NULL_INSTRUMENT,
-    Counter,
-    Gauge,
-    Histogram,
-    MetricsRegistry,
-    MetricsSnapshot,
-    merge_snapshots,
-    parse_key,
+from repro import _lazy_exports
+
+__getattr__, __dir__ = _lazy_exports(
+    __name__,
+    {
+        "repro.obs.metrics": (
+            "NULL_INSTRUMENT",
+            "Counter",
+            "Gauge",
+            "Histogram",
+            "MetricsRegistry",
+            "MetricsSnapshot",
+            "merge_snapshots",
+            "parse_key",
+        ),
+        "repro.obs.export": (
+            "export_chrome",
+            "export_jsonl",
+            "export_trace",
+            "load_jsonl",
+            "trace_to_chrome",
+            "trace_to_jsonl",
+        ),
+        "repro.obs.profiling": ("Profiler", "measure_overhead"),
+        "repro.obs.timeseries": (
+            "DEFAULT_TRACK",
+            "SeriesRecorder",
+            "SeriesSpec",
+            "merge_series_payloads",
+        ),
+        "repro.obs.causality": (
+            "CausalReport",
+            "CriticalPath",
+            "build_causal_report",
+            "causal_report_for",
+        ),
+        "repro.obs.ledger": (
+            "LedgerRecord",
+            "RunLedger",
+            "compute_fingerprint",
+            "ledger_from_env",
+            "make_record",
+            "read_records",
+        ),
+        "repro.obs.projections": (
+            "DeterminismViolation",
+            "HistoryCheck",
+            "TrendAlert",
+            "detect_regressions",
+            "detect_violations",
+            "history_check",
+            "history_rows",
+            "trend_rows",
+            "trend_series",
+        ),
+        "repro.obs.report": ("render_report", "write_report"),
+    },
 )
-from repro.obs.export import (
-    export_chrome,
-    export_jsonl,
-    export_trace,
-    load_jsonl,
-    trace_to_chrome,
-    trace_to_jsonl,
-)
-from repro.obs.profiling import Profiler, measure_overhead
-from repro.obs.timeseries import (
-    DEFAULT_TRACK,
-    SeriesRecorder,
-    SeriesSpec,
-    merge_series_payloads,
-)
-from repro.obs.causality import (
-    CausalReport,
-    CriticalPath,
-    build_causal_report,
-    causal_report_for,
-)
-from repro.obs.ledger import (
-    LedgerRecord,
-    RunLedger,
-    compute_fingerprint,
-    ledger_from_env,
-    make_record,
-    read_records,
-)
-from repro.obs.projections import (
-    DeterminismViolation,
-    HistoryCheck,
-    TrendAlert,
-    detect_regressions,
-    detect_violations,
-    history_check,
-    history_rows,
-    trend_rows,
-    trend_series,
-)
-from repro.obs.report import render_report, write_report
 
 __all__ = [
     "DEFAULT_TRACK",

@@ -6,15 +6,22 @@ that :func:`run_tasks_partial` executes under, and ``docs/performance.md``
 / ``docs/robustness.md`` for the user-facing tours.
 """
 
-from repro.parallel.engine import (
-    ParallelExecutionError,
-    TaskError,
-    WorkerPool,
-    available_workers,
-    resolve_batch_size,
-    resolve_workers,
-    run_tasks,
-    run_tasks_partial,
+from repro import _lazy_exports
+
+__getattr__, __dir__ = _lazy_exports(
+    __name__,
+    {
+        "repro.parallel.engine": (
+            "ParallelExecutionError",
+            "TaskError",
+            "WorkerPool",
+            "available_workers",
+            "resolve_batch_size",
+            "resolve_workers",
+            "run_tasks",
+            "run_tasks_partial",
+        ),
+    },
 )
 
 __all__ = [

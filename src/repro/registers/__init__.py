@@ -22,16 +22,26 @@ This package provides:
   constructions.
 """
 
-from repro.registers.atomic import AtomicRegister, RegisterArray
-from repro.registers.base import MemoryAudit, measure_magnitude
-from repro.registers.bloom import TwoWriterRegister
-from repro.registers.linearizability import check_register_history, history_from_spans
-from repro.registers.vitanyi_awerbuch import UnboundedMultiWriterRegister
-from repro.registers.weak import (
-    AtomicFromRegular,
-    RegularBitFromSafe,
-    RegularRegister,
-    SafeRegister,
+from repro import _lazy_exports
+
+__getattr__, __dir__ = _lazy_exports(
+    __name__,
+    {
+        "repro.registers.atomic": ("AtomicRegister", "RegisterArray"),
+        "repro.registers.base": ("MemoryAudit", "measure_magnitude"),
+        "repro.registers.bloom": ("TwoWriterRegister",),
+        "repro.registers.linearizability": (
+            "check_register_history",
+            "history_from_spans",
+        ),
+        "repro.registers.vitanyi_awerbuch": ("UnboundedMultiWriterRegister",),
+        "repro.registers.weak": (
+            "AtomicFromRegular",
+            "RegularBitFromSafe",
+            "RegularRegister",
+            "SafeRegister",
+        ),
+    },
 )
 
 __all__ = [

@@ -33,19 +33,26 @@ registry handed to it, and the dashboard renders them as a "Resilience"
 section (see ``docs/robustness.md``).
 """
 
-from repro.resilience.budget import (
-    AdmissionController,
-    AdmissionDecision,
-    CampaignBudget,
-    Priority,
+from repro import _lazy_exports
+
+__getattr__, __dir__ = _lazy_exports(
+    __name__,
+    {
+        "repro.resilience.budget": (
+            "AdmissionController",
+            "AdmissionDecision",
+            "CampaignBudget",
+            "Priority",
+        ),
+        "repro.resilience.checkpoint": (
+            "CrashOnce",
+            "LedgerCheckpointer",
+            "RunPlan",
+            "run_checkpointed",
+        ),
+        "repro.resilience.policy": ("FailurePolicy", "PartialResult", "RetryBackoff"),
+    },
 )
-from repro.resilience.checkpoint import (
-    CrashOnce,
-    LedgerCheckpointer,
-    RunPlan,
-    run_checkpointed,
-)
-from repro.resilience.policy import FailurePolicy, PartialResult, RetryBackoff
 
 __all__ = [
     "AdmissionController",

@@ -20,26 +20,37 @@ simulator reproduces the paper's execution model exactly; true hardware
 parallelism is not required.
 """
 
-from repro.runtime.events import OpEvent, OpIntent, OpSpan
-from repro.runtime.process import ProcessContext, ProcessState
-from repro.runtime.rng import derive_rng, derive_seed
-from repro.runtime.scheduler import (
-    CrashPlan,
-    RandomScheduler,
-    RecoveryPlan,
-    RoundRobinScheduler,
-    Scheduler,
-    ScriptedScheduler,
-    TracingScheduler,
+from repro import _lazy_exports
+
+__getattr__, __dir__ = _lazy_exports(
+    __name__,
+    {
+        "repro.runtime.events": ("OpEvent", "OpIntent", "OpSpan"),
+        "repro.runtime.process": ("ProcessContext", "ProcessState"),
+        "repro.runtime.rng": ("derive_rng", "derive_seed"),
+        "repro.runtime.scheduler": (
+            "CrashPlan",
+            "RandomScheduler",
+            "RecoveryPlan",
+            "RoundRobinScheduler",
+            "Scheduler",
+            "ScriptedScheduler",
+            "TracingScheduler",
+        ),
+        "repro.runtime.adversary": (
+            "Adversary",
+            "ScanStarvingAdversary",
+            "SplitAdversary",
+            "WalkBalancingAdversary",
+        ),
+        "repro.runtime.simulation": (
+            "Simulation",
+            "SimulationOutcome",
+            "StepBudgetExceeded",
+        ),
+        "repro.runtime.trace": ("Trace",),
+    },
 )
-from repro.runtime.adversary import (
-    Adversary,
-    ScanStarvingAdversary,
-    SplitAdversary,
-    WalkBalancingAdversary,
-)
-from repro.runtime.simulation import Simulation, SimulationOutcome, StepBudgetExceeded
-from repro.runtime.trace import Trace
 
 __all__ = [
     "Adversary",

@@ -24,25 +24,32 @@ See ``docs/service.md`` for the API reference, lifecycle diagram and
 the Observability section.
 """
 
-from repro.serve.api import ReproServer, ServeConfig, build_server
-from repro.serve.client import ServeClient, ServeError
-from repro.serve.dispatcher import Dispatcher
-from repro.serve.queue import Job, JobQueue, JobStates
-from repro.serve.schemas import (
-    JOB_KINDS,
-    PRIORITIES,
-    SpecError,
-    job_fingerprint,
-    validate_spec,
-)
-from repro.serve.telemetry import (
-    EventBroker,
-    JobTracer,
-    TelemetryHub,
-    job_trace_to_trace,
-    load_job_trace,
-    render_prometheus,
-    timeline_rows,
+from repro import _lazy_exports
+
+__getattr__, __dir__ = _lazy_exports(
+    __name__,
+    {
+        "repro.serve.api": ("ReproServer", "ServeConfig", "build_server"),
+        "repro.serve.client": ("ServeClient", "ServeError"),
+        "repro.serve.dispatcher": ("Dispatcher",),
+        "repro.serve.queue": ("Job", "JobQueue", "JobStates"),
+        "repro.serve.schemas": (
+            "JOB_KINDS",
+            "PRIORITIES",
+            "SpecError",
+            "job_fingerprint",
+            "validate_spec",
+        ),
+        "repro.serve.telemetry": (
+            "EventBroker",
+            "JobTracer",
+            "TelemetryHub",
+            "job_trace_to_trace",
+            "load_job_trace",
+            "render_prometheus",
+            "timeline_rows",
+        ),
+    },
 )
 
 __all__ = [

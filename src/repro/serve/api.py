@@ -35,6 +35,7 @@ from __future__ import annotations
 
 import json
 import pathlib
+import threading
 import time
 import urllib.parse
 from dataclasses import dataclass, field
@@ -170,6 +171,8 @@ class ReproServer:
         handler = _make_handler(self)
         self.httpd = ThreadingHTTPServer((config.host, config.port), handler)
         self.httpd.daemon_threads = True
+        #: The thread running :meth:`serve_forever`, while one does.
+        self._serving: int | None = None
 
     @property
     def port(self) -> int:
@@ -184,12 +187,24 @@ class ReproServer:
         self.dispatcher.start()
 
     def serve_forever(self) -> None:  # pragma: no cover - blocks
-        self.httpd.serve_forever(poll_interval=0.1)
+        self._serving = threading.get_ident()
+        try:
+            self.httpd.serve_forever(poll_interval=0.1)
+        finally:
+            self._serving = None
 
     def stop(self) -> None:
-        """Shut down; when this returns, no engine worker is alive."""
+        """Shut down; when this returns, no engine worker is alive.
+
+        ``httpd.shutdown()`` waits for a serve loop to exit, so it runs
+        only while :meth:`serve_forever` runs in another thread: with no
+        loop (never started, or ended by Ctrl-C in this thread) it would
+        wait forever.
+        """
         self.dispatcher.stop()
-        self.httpd.shutdown()
+        serving = self._serving
+        if serving is not None and serving != threading.get_ident():
+            self.httpd.shutdown()
         self.httpd.server_close()
 
     # -- endpoint bodies (pure views over the pieces) ------------------------

@@ -23,17 +23,24 @@ ghost write sequence numbers that the implementations carry for verification
 only (the algorithms never read them).
 """
 
-from repro.snapshot.arrows import ArrowScannableMemory
-from repro.snapshot.embedded import EmbeddedScanSnapshot
-from repro.snapshot.interface import ScannableMemory
-from repro.snapshot.properties import (
-    PropertyViolation,
-    check_p1_regularity,
-    check_p2_snapshot,
-    check_p3_serializability,
-    check_all_properties,
+from repro import _lazy_exports
+
+__getattr__, __dir__ = _lazy_exports(
+    __name__,
+    {
+        "repro.snapshot.arrows": ("ArrowScannableMemory",),
+        "repro.snapshot.embedded": ("EmbeddedScanSnapshot",),
+        "repro.snapshot.interface": ("ScannableMemory",),
+        "repro.snapshot.properties": (
+            "PropertyViolation",
+            "check_p1_regularity",
+            "check_p2_snapshot",
+            "check_p3_serializability",
+            "check_all_properties",
+        ),
+        "repro.snapshot.sequenced": ("SequencedScannableMemory",),
+    },
 )
-from repro.snapshot.sequenced import SequencedScannableMemory
 
 __all__ = [
     "ArrowScannableMemory",

@@ -22,20 +22,27 @@ the bounded replacement in the paper's four stages:
 game/graph equivalence.
 """
 
-from repro.strip.distance_graph import DistanceGraph
-from repro.strip.edge_counters import EdgeCounters, decode_graph, inc_counters
-from repro.strip.invariants import (
-    InvariantViolation,
-    check_graph_invariants,
-    graphs_equal,
+from repro import _lazy_exports
+
+__getattr__, __dir__ = _lazy_exports(
+    __name__,
+    {
+        "repro.strip.distance_graph": ("DistanceGraph",),
+        "repro.strip.edge_counters": ("EdgeCounters", "decode_graph", "inc_counters"),
+        "repro.strip.invariants": (
+            "InvariantViolation",
+            "check_graph_invariants",
+            "graphs_equal",
+        ),
+        "repro.strip.shrink": (
+            "ShrunkenTokenGame",
+            "normalize_k",
+            "shrink_k",
+            "shrink_normalize",
+        ),
+        "repro.strip.token_game": ("TokenGame",),
+    },
 )
-from repro.strip.shrink import (
-    ShrunkenTokenGame,
-    normalize_k,
-    shrink_k,
-    shrink_normalize,
-)
-from repro.strip.token_game import TokenGame
 
 __all__ = [
     "DistanceGraph",

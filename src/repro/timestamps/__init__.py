@@ -22,10 +22,17 @@ deliberately out of scope — the whole point of the reproduced paper is
 that consensus does not need it.
 """
 
-from repro.timestamps.sequential import (
-    BoundedSequentialTimestamps,
-    UnboundedTimestamps,
-    dominates,
+from repro import _lazy_exports
+
+__getattr__, __dir__ = _lazy_exports(
+    __name__,
+    {
+        "repro.timestamps.sequential": (
+            "BoundedSequentialTimestamps",
+            "UnboundedTimestamps",
+            "dominates",
+        ),
+    },
 )
 
 __all__ = ["BoundedSequentialTimestamps", "UnboundedTimestamps", "dominates"]

@@ -16,20 +16,27 @@ read/write registers alone.
   slot decided by multivalued consensus over the ADS binary protocol.
 """
 
-from repro.universal.construction import UniversalObject
-from repro.universal.linearizability import (
-    ObjectOp,
-    check_object_history,
-    object_history_from_spans,
-)
-from repro.universal.spec import (
-    CasRegisterSpec,
-    CounterSpec,
-    FetchAndConsSpec,
-    QueueSpec,
-    SequentialSpec,
-    StackSpec,
-    StickyBitSpec,
+from repro import _lazy_exports
+
+__getattr__, __dir__ = _lazy_exports(
+    __name__,
+    {
+        "repro.universal.construction": ("UniversalObject",),
+        "repro.universal.linearizability": (
+            "ObjectOp",
+            "check_object_history",
+            "object_history_from_spans",
+        ),
+        "repro.universal.spec": (
+            "CasRegisterSpec",
+            "CounterSpec",
+            "FetchAndConsSpec",
+            "QueueSpec",
+            "SequentialSpec",
+            "StackSpec",
+            "StickyBitSpec",
+        ),
+    },
 )
 
 __all__ = [

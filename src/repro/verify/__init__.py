@@ -16,8 +16,15 @@ configurations of exactly the kind the paper's hand proofs argue about:
   coin de-randomized both ways.
 """
 
-from repro.verify.explorer import ExplorationResult, explore_schedules
-from repro.verify.fuzz import FuzzFailure, FuzzReport, fuzz_consensus
+from repro import _lazy_exports
+
+__getattr__, __dir__ = _lazy_exports(
+    __name__,
+    {
+        "repro.verify.explorer": ("ExplorationResult", "explore_schedules"),
+        "repro.verify.fuzz": ("FuzzFailure", "FuzzReport", "fuzz_consensus"),
+    },
+)
 
 __all__ = [
     "ExplorationResult",

@@ -2,9 +2,21 @@
 
 from __future__ import annotations
 
+import os
 from typing import Any, Callable
 
 from repro.runtime import RandomScheduler, Simulation
+
+
+def child_env(src: Any, **variables: str) -> dict[str, str]:
+    """A minimal environment for a child interpreter that runs ``src``'s
+    ``repro``: no ``REPRO_*`` variable leaks in from the caller, and
+    ``PYTHONDONTWRITEBYTECODE`` carries over when set, so the child writes
+    no bytecode into the checkout."""
+    env = {"PATH": "/usr/bin:/bin", "PYTHONPATH": str(src), **variables}
+    if "PYTHONDONTWRITEBYTECODE" in os.environ:
+        env["PYTHONDONTWRITEBYTECODE"] = os.environ["PYTHONDONTWRITEBYTECODE"]
+    return env
 
 
 def run_simulation(

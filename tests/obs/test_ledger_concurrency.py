@@ -23,6 +23,7 @@ from repro.obs.ledger import (
     read_records,
     truncate_torn_tail,
 )
+from tests.helpers import child_env
 
 SRC = Path(__file__).resolve().parents[2] / "src"
 
@@ -84,11 +85,7 @@ def test_two_processes_interleave_whole_lines(tmp_path):
         " config={'experiment': 'sweep:' + writer, 'n': 2},"
         " outcome={'value': 100.0}))\n"
     )
-    env = {
-        "PATH": "/usr/bin:/bin",
-        "PYTHONPATH": str(SRC),
-        "REPRO_CODE_VERSION": "test-concurrency-v1",
-    }
+    env = child_env(SRC, REPRO_CODE_VERSION="test-concurrency-v1")
     procs = [
         subprocess.Popen(
             [sys.executable, "-c", script, writer, str(path)], env=env

@@ -11,6 +11,7 @@ import pytest
 from repro.obs.ledger import RunLedger, make_record
 from repro.parallel import available_workers
 from repro.serve import ServeClient, ServeError, build_server
+from tests.helpers import child_env
 
 SRC = Path(__file__).resolve().parents[2] / "src"
 
@@ -96,11 +97,7 @@ def test_server_ledger_matches_cli_ledger_bytes(server, client, tmp_path):
         ],
         check=True,
         capture_output=True,
-        env={
-            "PATH": "/usr/bin:/bin",
-            "PYTHONPATH": str(SRC),
-            "REPRO_CODE_VERSION": "test-serve-v1",
-        },
+        env=child_env(SRC, REPRO_CODE_VERSION="test-serve-v1"),
     )
     server_ledger = server.config.resolved_ledger()
     assert server_ledger.read_bytes() == cli_ledger.read_bytes()
@@ -221,6 +218,60 @@ def test_stop_mid_job_stops_the_pool_and_leaves_the_job_for_requeue(tmp_path):
     srv.dispatcher.join(timeout=30)
     assert not srv.dispatcher.is_alive()
     assert srv.queue.get(job_id).state == "RUNNING"
+
+
+def test_stop_without_a_serve_loop_returns_and_stops_the_pool(tmp_path):
+    """stop() after start() with no serve loop running (Ctrl-C during the
+    start-up banner) must not wait for a loop that never ran."""
+    import multiprocessing
+    import time
+
+    srv = build_server(port=0, state_dir=str(tmp_path / "state"), workers=2)
+    srv.start()
+    job_id = srv.submit({"kind": "sweep", "params": SWEEP_PARAMS})[1]["id"]
+    deadline = time.monotonic() + 60
+    while srv.queue.get(job_id).state != "DONE":
+        assert time.monotonic() < deadline, "the job never finished"
+        time.sleep(0.01)
+    workers = multiprocessing.active_children()
+    assert workers
+    stopping = threading.Thread(target=srv.stop, daemon=True)
+    stopping.start()
+    stopping.join(timeout=5)
+    assert not stopping.is_alive()
+    assert not any(worker.is_alive() for worker in workers)
+
+
+def test_ctrl_c_during_the_serve_banner_still_stops_the_server(tmp_path, monkeypatch):
+    import signal
+
+    from repro import cli
+    from repro.serve.api import ReproServer
+
+    stopped = []
+    stop = ReproServer.stop
+
+    def recording_stop(self):
+        stopped.append(self)
+        stop(self)
+
+    def banner_print(*args, **kwargs):
+        if args and str(args[0]).startswith("repro serve: listening on"):
+            raise KeyboardInterrupt
+        print(*args, **kwargs)
+
+    monkeypatch.setattr(ReproServer, "stop", recording_stop)
+    monkeypatch.setattr(cli, "print", banner_print, raising=False)
+    sigterm = signal.getsignal(signal.SIGTERM)
+    argv = ["serve", "--port", "0", "--workers", "2"]
+    try:
+        code = cli.main([*argv, "--state-dir", str(tmp_path / "state")])
+    except KeyboardInterrupt:
+        code = "KeyboardInterrupt escaped cmd_serve"
+    finally:
+        signal.signal(signal.SIGTERM, sigterm)
+    assert code == 0
+    assert len(stopped) == 1
 
 
 def test_queue_full_answers_429(tmp_path):

@@ -53,6 +53,25 @@ def client(server):
     return ServeClient(server.url)
 
 
+def _trace_through_terminal(server, job_id, timeout=10.0):
+    """The job trace once it holds ``job_id``'s ``terminal`` instant.
+
+    ``GET /jobs/{id}`` reads DONE as soon as the queue finishes the job,
+    just before the telemetry listener writes the job's ``dispatch`` span
+    and ``terminal`` instant, so a trace read right after
+    :meth:`ServeClient.wait` can miss both.  Past the deadline the trace
+    is returned as it stands, for the caller's assertions to report.
+    """
+    deadline = time.monotonic() + timeout
+    while True:
+        records = load_job_trace(server.config.resolved_trace())
+        if any(r["job"] == job_id and r["name"] == "terminal" for r in records):
+            return records
+        if time.monotonic() > deadline:
+            return records
+        time.sleep(0.01)
+
+
 def test_full_stream_has_accepted_progress_and_one_terminal(tmp_path):
     # The dispatcher starts only once the stream has subscribed: a job
     # that ends before the subscription streams just ``accepted`` and
@@ -178,7 +197,7 @@ def test_mid_stream_disconnect_does_not_wedge_the_dispatcher(server, client):
 def test_job_trace_records_the_full_span_chain(server, client):
     job = client.submit("sweep", SWEEP_PARAMS)
     assert client.wait(job["id"], timeout=60)["state"] == "DONE"
-    records = load_job_trace(server.config.resolved_trace())
+    records = _trace_through_terminal(server, job["id"])
     mine = [r for r in records if r["job"] == job["id"]]
     names = {r["name"] for r in mine}
     assert {"accepted", "queue-wait", "task", "checkpoint", "dispatch",
@@ -205,7 +224,7 @@ def test_job_trace_records_the_full_span_chain(server, client):
 def test_cache_hit_resubmission_traces_no_second_dispatch(server, client):
     job = client.submit("sweep", SWEEP_PARAMS)
     client.wait(job["id"], timeout=60)
-    before = load_job_trace(server.config.resolved_trace())
+    before = _trace_through_terminal(server, job["id"])
     again = client.submit("sweep", SWEEP_PARAMS)
     assert again["cached"] is True
     after = load_job_trace(server.config.resolved_trace())

@@ -18,6 +18,7 @@ from pathlib import Path
 import pytest
 
 from repro.serve import ServeClient
+from tests.helpers import child_env
 
 SRC = Path(__file__).resolve().parents[2] / "src"
 
@@ -29,12 +30,7 @@ TOTAL_CELLS = len(PARAMS["n_values"]) * PARAMS["reps"]
 
 
 def _env():
-    return {
-        "PATH": "/usr/bin:/bin",
-        "PYTHONPATH": str(SRC),
-        "PYTHONUNBUFFERED": "1",
-        "REPRO_CODE_VERSION": "test-resume-v1",
-    }
+    return child_env(SRC, PYTHONUNBUFFERED="1", REPRO_CODE_VERSION="test-resume-v1")
 
 
 def _boot_server(state_dir: Path, workers: int) -> tuple[subprocess.Popen, str]:
