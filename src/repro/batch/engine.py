@@ -53,9 +53,10 @@ optimisation, never a semantic fork.
 The protocol step's strip-graph work and its round rule are the
 generator protocol's own: a lane decodes its scanned edge rows with
 :class:`~repro.strip.edge_counters.CounterGraph` and picks decide, adopt,
-withdraw or coin with :func:`~repro.consensus.ads.round_action`.  The
-decoder is memoised as one instance per edge-row tuple, which holds its
-leaders and caches its own distance and increment queries: independent
+withdraw or coin with :func:`~repro.consensus.ads.round_action`, and it
+sums the coin over the decoder's ``coin_sources``.  The decoder is
+memoised as one instance per edge-row tuple, which holds its leaders and
+caches its own distance, decide, coin and increment queries: independent
 lanes revisit the same small strip-graph states constantly, so across a
 batch the amortised graph work per step drops well below the serial
 interpreter's.
@@ -69,7 +70,8 @@ from typing import Any
 from repro.coin.logic import default_m
 from repro.consensus.ads import ADOPT, DECIDE, WITHDRAW, round_action
 from repro.runtime.rng import derive_rng
-from repro.strip.edge_counters import CounterGraph
+from repro.strip.distance_graph import PositiveCycleError
+from repro.strip.edge_counters import CounterGraph, IllFormedCounters
 
 #: Fast-path protocol constants — the ``AdsConsensus()`` defaults.  A lane
 #: needing anything else must come in through the serial fallback.
@@ -460,7 +462,9 @@ class _Lane:
         Returns True when ``i`` decided (the lane retires the pid).  When
         the shared core rejects the scanned rows (ill-formed counters, or
         a positive cycle met by a distance query) it sets
-        ``self.fallback`` to the error's message and returns False.
+        ``self.fallback`` to the error's message and returns False, and
+        likewise with its own reason when a coin flip would leave the
+        bounded walk range.
         """
         self.scans[i] += 1
         n = self.n
@@ -479,7 +483,7 @@ class _Lane:
         try:
             # A list comprehension builds the key faster than a generator.
             graph = self._graph(tuple([c[3] for c in view]))
-            action, value = round_action(i, prefs, graph, K)
+            action, value = round_action(i, prefs, graph)
             if action == DECIDE:
                 self.decisions[i] = value
                 return True
@@ -488,11 +492,38 @@ class _Lane:
             elif action == WITHDRAW:
                 new_cell = (None, cell[1], cell[2], cell[3])
             else:
-                new_cell = self._coin_step(i, cell, view, graph)
-        except ValueError as exc:  # IllFormedCounters is a ValueError
+                # ``_resolve_conflict``: read my round's shared coin from
+                # the view, then flip it or adopt its value.
+                nslot = (cell[2] + 1) % _SLOTS
+                own = cell[1][nslot]
+                m = self.m
+                if own < -m or own > m:
+                    coin = 1  # bounded-overflow rule: deterministic heads
+                else:
+                    total = own
+                    for j, w in graph.coin_sources(i):
+                        vj = view[j]
+                        total += vj[1][(vj[2] - w + 1) % _SLOTS]
+                    if total > self.bn:
+                        coin = 1
+                    elif total < -self.bn:
+                        coin = 0
+                    else:
+                        coin = None
+                if coin is not None:
+                    new_cell = self._advance_cell(i, cell, graph, coin)
+                else:
+                    # Flip: one ctx.rng draw, one ±1 walk step on my slot.
+                    new_value = own + (1 if self.rand[i]() < 0.5 else -1)
+                    if new_value < -(m + 1) or new_value > m + 1:
+                        self.fallback = "walk step outside bounded counter range"
+                        return False
+                    self.flips[i] += 1
+                    coins = list(cell[1])
+                    coins[nslot] = new_value
+                    new_cell = (cell[0], tuple(coins), cell[2], cell[3])
+        except (IllFormedCounters, PositiveCycleError) as exc:
             self.fallback = str(exc)
-            return False
-        if new_cell is None:
             return False
         self.cells[i] = new_cell
         self.phase[i] = 0
@@ -508,42 +539,6 @@ class _Lane:
         coins[(pointer + 1) % _SLOTS] = 0
         self.rounds[i] += 1
         return (pref, tuple(coins), pointer, new_row)
-
-    def _coin_step(self, i: int, cell: tuple, view: list, graph: CounterGraph):
-        """``_resolve_conflict``: read the shared coin, flip or adopt."""
-        nslot = (cell[2] + 1) % _SLOTS
-        own = cell[1][nslot]
-        m = self.m
-        if own < -m or own > m:
-            coin = 1  # bounded-overflow rule: deterministic heads
-        else:
-            total = own
-            W = graph.W
-            for j in range(self.n):
-                if j == i:
-                    continue
-                w = W[j][i]
-                if w is not None and w < K:
-                    vj = view[j]
-                    total += vj[1][(vj[2] - w + 1) % _SLOTS]
-            if total > self.bn:
-                coin = 1
-            elif total < -self.bn:
-                coin = 0
-            else:
-                coin = None
-        if coin is None:
-            # Flip: one ctx.rng draw, one ±1 walk step on the next slot.
-            heads = self.rand[i]() < 0.5
-            new_value = own + (1 if heads else -1)
-            if new_value < -(m + 1) or new_value > m + 1:
-                self.fallback = "walk step outside bounded counter range"
-                return None
-            self.flips[i] += 1
-            coins = list(cell[1])
-            coins[nslot] = new_value
-            return (cell[0], tuple(coins), cell[2], cell[3])
-        return self._advance_cell(i, cell, graph, coin)
 
     def result(self) -> LaneResult:
         n_range = range(self.n)

@@ -67,6 +67,8 @@ safety check fails.
 from __future__ import annotations
 
 import argparse
+import atexit
+import gc
 import sys
 from typing import Sequence
 
@@ -1658,7 +1660,22 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+#: Whether :func:`main` registered its exit hook; process-wide, like the
+#: ``atexit`` registry it guards.
+_exit_hook_registered = False
+
+
 def main(argv: Sequence[str] | None = None) -> int:
+    global _exit_hook_registered
+    if not _exit_hook_registered:
+        # At exit CPython runs full collections over a heap that nothing
+        # reads again; freezing it first moves every tracked object out
+        # of their reach.  The hook runs only at exit, so a caller of
+        # main() keeps normal collection until then.  No output depends
+        # on it: commands close the files they write before returning,
+        # and the interpreter flushes stdout and stderr either way.
+        atexit.register(gc.freeze)
+        _exit_hook_registered = True
     parser = build_parser()
     args = parser.parse_args(argv)
     return args.func(args)

@@ -43,7 +43,7 @@ from dataclasses import dataclass, replace
 from typing import Sequence
 
 from repro.coin import logic
-from repro.consensus.interface import BOTTOM, ConsensusProtocol, agreed_value
+from repro.consensus.interface import BOTTOM, ConsensusProtocol
 from repro.registers.base import MemoryAudit
 from repro.runtime.process import ProcessContext
 from repro.runtime.simulation import Simulation
@@ -61,7 +61,7 @@ CONFLICT = "conflict"
 
 
 def round_action(
-    i: int, prefs: Sequence, graph: CounterGraph, K: int
+    i: int, prefs: Sequence, graph: CounterGraph
 ) -> tuple[str, int | None]:
     """Paper lines 2–6: what process i does with a clean scan.
 
@@ -70,7 +70,8 @@ def round_action(
 
     - ``(DECIDE, v)``: my preference ``v`` is a value, I am a leader (I
       dominate everyone in ``graph``), and every process that disagrees
-      with me (⊥ counts as disagreeing) trails me by at least K;
+      with me (⊥ counts as disagreeing) trails me by at least
+      K = ``graph.K``;
     - ``(ADOPT, v)``: all leaders carry the same value ``v ≠ ⊥``; adopt it
       and advance a round;
     - ``(WITHDRAW, None)``: the leaders agree on no value and my
@@ -79,19 +80,26 @@ def round_action(
       withdrew; resolve the round randomly (lines 7–8, the caller's coin).
 
     Shared by :class:`AdsConsensus` and the fused lanes of
-    :mod:`repro.batch.engine`.  Raises ``ValueError`` when the decide
-    test meets a positive cycle.
+    :mod:`repro.batch.engine`.  Raises
+    :class:`~repro.strip.distance_graph.PositiveCycleError` when the
+    decide test meets a positive cycle.
     """
     pref = prefs[i]
-    if pref is not BOTTOM and i in graph.leaders:
-        for p, d in zip(prefs, graph.dists_from(i)):
-            if p != pref and d < K:
+    leaders = graph.leaders
+    if pref is not BOTTOM and i in leaders:
+        for k in graph.near_pids(i):
+            if prefs[k] != pref:
                 break
         else:
             return DECIDE, pref
-    value = agreed_value([prefs[lead] for lead in graph.leaders])
-    if value is not None:
-        return ADOPT, value
+    if leaders:
+        value = prefs[leaders[0]]
+        if value is not BOTTOM:
+            for lead in leaders:
+                if prefs[lead] != value:
+                    break
+            else:
+                return ADOPT, value
     if pref is not BOTTOM:
         return WITHDRAW, None
     return CONFLICT, None
@@ -250,7 +258,7 @@ class AdsConsensus(ConsensusProtocol):
             self._m_scans.inc()
             graph = CounterGraph([v.edges for v in view], self.K)
             self._observe_leader_gap(graph)
-            action, value = round_action(i, [v.pref for v in view], graph, self.K)
+            action, value = round_action(i, [v.pref for v in view], graph)
 
             # Line 2: leader with every disagreeing process K behind -> decide.
             if action == DECIDE:
@@ -360,14 +368,9 @@ class AdsConsensus(ConsensusProtocol):
         """
         slots = len(cell.coins)
         counters = [0] * n
-        for j in range(n):
-            if j == i:
-                continue
-            w = graph.W[j][i]
-            if w is not None and w < self.K:
-                other = view[j]
-                slot = (other.current_coin - w + 1) % slots
-                counters[j] = other.coins[slot]
+        for j, w in graph.coin_sources(i):
+            other = view[j]
+            counters[j] = other.coins[(other.current_coin - w + 1) % slots]
         counters[i] = cell.coins[cell.next_slot()]
         return logic.coin_value(counters[i], counters, n, self.b_barrier, m)
 

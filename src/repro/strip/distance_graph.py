@@ -25,6 +25,10 @@ from typing import Iterable, Sequence
 _NEG_INF = float("-inf")
 
 
+class PositiveCycleError(ValueError):
+    """A distance query met a positive cycle: not a legal distance graph."""
+
+
 def longest_paths(
     edges: Sequence[tuple[int, int, int]], n: int, source: int, forward: bool
 ) -> list[float]:
@@ -39,7 +43,7 @@ def longest_paths(
     graphs converge within n-1 changing rounds (simple paths have at most
     n-1 edges and zero cycles never improve anything), so round n is
     always quiet; a positive cycle keeps changing and raises
-    ``ValueError``.
+    :class:`PositiveCycleError`.
     """
     if not forward:
         edges = [(v, u, w) for u, v, w in edges]
@@ -54,7 +58,7 @@ def longest_paths(
                 changed = True
         if not changed:
             return dist
-    raise ValueError("positive cycle detected: not a legal distance graph")
+    raise PositiveCycleError("positive cycle detected: not a legal distance graph")
 
 
 class DistanceGraph:
@@ -110,8 +114,9 @@ class DistanceGraph:
     def all_dists_to(self, target: int) -> list[float]:
         """``dist(k, target)`` for every k: maximum path weight into target.
 
-        Unreachable sources get ``-inf``; raises ``ValueError`` on a
-        positive cycle (see :func:`longest_paths`).
+        Unreachable sources get ``-inf``; raises
+        :class:`PositiveCycleError` on a positive cycle (see
+        :func:`longest_paths`).
         """
         return longest_paths(list(self.edges()), self.n, target, forward=False)
 

@@ -52,9 +52,11 @@ class CounterGraph:
     ``edges`` lists the same edges as ``(src, dst, weight)`` triples; and
     ``leaders`` holds, in ascending order, the pids that dominate everyone
     (an edge to every other pid).  Construction raises
-    :class:`IllFormedCounters` on an ambiguous pair.  The distance queries
-    and ``inc_row`` are computed on first use and cached; they raise
-    ``ValueError`` on a positive cycle and then cache nothing.
+    :class:`IllFormedCounters` on an ambiguous pair.  The per-pid queries
+    (distances, ``near_pids``, ``coin_sources`` and ``inc_row``) are
+    computed on first use and cached; those that read distances raise
+    :class:`~repro.strip.distance_graph.PositiveCycleError` on a positive
+    cycle and then cache nothing.
 
     An instance never changes an answer once given, so it may be shared
     across lanes and calls (the fused lanes keep one per rows tuple):
@@ -62,7 +64,19 @@ class CounterGraph:
     distance list.
     """
 
-    __slots__ = ("rows", "n", "K", "W", "edges", "leaders", "_from", "_to", "_inc")
+    __slots__ = (
+        "rows",
+        "n",
+        "K",
+        "W",
+        "edges",
+        "leaders",
+        "_from",
+        "_to",
+        "_inc",
+        "_near",
+        "_sources",
+    )
 
     def __init__(self, rows: Sequence[Sequence[int]], K: int):
         n = len(rows)
@@ -102,6 +116,10 @@ class CounterGraph:
         self._from: list[list[float] | None] = [None] * n
         self._to: list[list[float] | None] = [None] * n
         self._inc: list[tuple[int, ...] | None] = [None] * n
+        # Allocated on first query: most decoders of a fused batch never
+        # answer a decide test or a coin.
+        self._near: list[tuple[int, ...] | None] | None = None
+        self._sources: list[tuple[tuple[int, int], ...] | None] | None = None
 
     def dists_from(self, i: int) -> list[float]:
         """``dist(i, k)`` for every k: maximum path weight out of i."""
@@ -116,6 +134,37 @@ class CounterGraph:
         if dist is None:
             dist = self._to[i] = longest_paths(self.edges, self.n, i, False)
         return dist
+
+    def near_pids(self, i: int) -> tuple[int, ...]:
+        """The pids k with ``dist(i, k) < K`` (i itself and the pids no
+        path from i reaches included), ascending: whose disagreement
+        blocks i's decide test."""
+        table = self._near
+        if table is None:
+            table = self._near = [None] * self.n
+        near = table[i]
+        if near is None:
+            K = self.K
+            near = table[i] = tuple(
+                k for k, d in enumerate(self.dists_from(i)) if d < K
+            )
+        return near
+
+    def coin_sources(self, i: int) -> tuple[tuple[int, int], ...]:
+        """``(j, w(j, i))`` for each edge j → i of weight below K, by
+        ascending j: the processes that contribute to i's round coin."""
+        table = self._sources
+        if table is None:
+            table = self._sources = [None] * self.n
+        sources = table[i]
+        if sources is None:
+            K = self.K
+            sources = table[i] = tuple(
+                (j, w)
+                for j, w in enumerate(row[i] for row in self.W)
+                if w is not None and w < K
+            )
+        return sources
 
     def inc_row(self, i: int) -> tuple[int, ...]:
         """The paper's ``inc_graph``: process i's new counter row.

@@ -16,6 +16,10 @@ crash plan (never killing everyone).  For protocols that support crash
 recovery, some crashed runs additionally restart their victims
 (:class:`~repro.runtime.scheduler.RecoveryPlan`); an optional fault cell
 injects register faults and counts how often the validators catch them.
+A fault run that stops because the protocol's strip decoder rejects an
+illegal view (:class:`~repro.strip.edge_counters.IllFormedCounters` or
+:class:`~repro.strip.distance_graph.PositiveCycleError`) counts as a
+detection; the same error in a fault-free run still fails its cell.
 """
 
 from __future__ import annotations
@@ -29,10 +33,13 @@ from repro.consensus.interface import ConsensusRun
 from repro.consensus.validation import validate_run
 from repro.faults.plan import FaultPlan
 from repro.faults.watchdog import Watchdog
+from repro.obs.metrics import MetricsRegistry
 from repro.parallel import ParallelExecutionError
 from repro.resilience.checkpoint import RunPlan, run_checkpointed
 from repro.runtime.rng import derive_rng
 from repro.runtime.scheduler import CrashPlan, RecoveryPlan
+from repro.strip.distance_graph import PositiveCycleError
+from repro.strip.edge_counters import IllFormedCounters
 from repro.workloads import make_scheduler
 
 
@@ -266,17 +273,33 @@ def _run_cell(
             if livelock_window
             else None
         )
-        run = protocol.run(
-            inputs,
-            scheduler=scheduler_factory(seed),
-            seed=seed,
-            crash_plan=crashes,
-            recovery_plan=recoveries if recoveries.restart_at else None,
-            fault_plan=faults,
-            max_steps=fault_max_steps if faults is not None else max_steps,
-            raise_on_budget=False,
-            watchdog=watchdog,
-        )
+        # A fault run keeps its registry: a run that stops on an illegal
+        # view returns no snapshot to count its injections from.
+        metrics = MetricsRegistry() if faults is not None else None
+        try:
+            run = protocol.run(
+                inputs,
+                scheduler=scheduler_factory(seed),
+                seed=seed,
+                crash_plan=crashes,
+                recovery_plan=recoveries if recoveries.restart_at else None,
+                fault_plan=faults,
+                max_steps=fault_max_steps if faults is not None else max_steps,
+                raise_on_budget=False,
+                watchdog=watchdog,
+                metrics=metrics,
+            )
+        except (IllFormedCounters, PositiveCycleError):
+            if faults is None:
+                raise
+            # An injected fault made a scanned view illegal and the
+            # protocol's strip decoder rejected it: a detection.
+            cell.runs += 1
+            cell.steps_total += metrics.counter_total("runtime.steps")
+            cell.fault_runs += 1
+            cell.fault_injections += metrics.counter_total("faults.injected")
+            cell.fault_detections += 1
+            continue
         cell.runs += 1
         cell.steps_total += run.total_steps
         if watchdog is not None and any(

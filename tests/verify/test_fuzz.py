@@ -1,8 +1,14 @@
 """Tests for the fuzz harness (and a small real campaign)."""
 
+from dataclasses import replace
+
+import pytest
+
 from repro.consensus import AdsConsensus, BoundedLocalCoinConsensus
 from repro.faults.plan import FaultPlan
-from repro.verify.fuzz import FuzzFailure, fuzz_consensus
+from repro.parallel import ParallelExecutionError
+from repro.resilience import RunPlan
+from repro.verify.fuzz import DEFAULT_SCHEDULERS, FuzzFailure, fuzz_consensus
 
 
 def test_small_campaign_on_the_paper_protocol_is_clean():
@@ -164,3 +170,54 @@ def test_expect_fault_detection_flags_a_detection_hole():
     if report.fault_injections > 0 and report.fault_detections == 0:
         assert not report.ok
         assert "nothing was detected" in str(report.failures[-1])
+
+
+def _chaos_fault_cell(runs_per_cell):
+    """``repro chaos``'s fault-injection cell (n = 3, lockstep) at its
+    default seed, run in-process."""
+    return fuzz_consensus(
+        AdsConsensus,
+        n_values=(3,),
+        runs_per_cell=runs_per_cell,
+        schedulers={"lockstep": DEFAULT_SCHEDULERS["lockstep"]},
+        crash_probability=0.0,
+        fault_probability=1.0,
+        master_seed=0,
+        plan=RunPlan(workers=1),
+    )
+
+
+def test_a_fault_run_stopped_on_an_illegal_view_counts_as_a_detection():
+    # Repetition 27 injects faults that leave a positive cycle in the
+    # scanned edge rows; the protocol's decoder rejects it mid-run.
+    before, report = _chaos_fault_cell(27), _chaos_fault_cell(28)
+    assert report.ok, [str(f) for f in report.failures]
+    assert report.runs == report.fault_runs == 28
+    assert report.fault_detections == before.fault_detections + 1
+    # The stopped run keeps what it injected and the steps it took.
+    assert report.fault_injections > before.fault_injections
+    assert report.steps_total > before.steps_total
+
+
+class StuckCycleAds(AdsConsensus):
+    """A protocol bug: each process writes a fixed edge row, and the three
+    rows decode to the positive cycle 0 -> 1 -> 2 -> 0."""
+
+    ROWS = ((0, 1, 0), (0, 0, 1), (1, 0, 0))
+
+    def _inc(self, i, cell, graph):
+        return replace(super()._inc(i, cell, graph), edges=self.ROWS[i])
+
+
+def test_a_fault_free_run_meeting_an_illegal_view_still_fails_its_cell():
+    # The cell's own error, not one raised while counting the run.
+    failed_with = r"\]: PositiveCycleError: positive cycle detected"
+    with pytest.raises(ParallelExecutionError, match=failed_with):
+        fuzz_consensus(
+            StuckCycleAds,
+            n_values=(3,),
+            runs_per_cell=1,
+            schedulers={"random": DEFAULT_SCHEDULERS["random"]},
+            crash_probability=0.0,
+            plan=RunPlan(workers=1),
+        )
