@@ -190,38 +190,21 @@ def record_ledger(experiment: str) -> bool:
     """Append this benchmark's finished artifact to the run ledger.
 
     Off unless the ``REPRO_LEDGER`` environment variable names a ledger
-    file (how the CI perf-smoke job opts in).  The record's deterministic
-    identity is the artifact minus its timing-marker keys — exactly what
-    the regression gate compares — so reruns at the same code version are
-    cache hits, while a changed *measured* value under an unchanged
-    fingerprint is preserved as determinism-violation evidence for
-    ``repro history check``.  Wall-clock data rides in the record's
-    ``timings`` field, outside the identity.
+    file (how the CI perf-smoke job opts in).  The record is the one
+    ``repro bench --ledger`` appends for the artifact
+    (:func:`repro.analysis.benchgate.bench_record`), so reruns at the
+    same code version are cache hits, while a changed *measured* value
+    under an unchanged fingerprint is preserved as determinism-violation
+    evidence for ``repro history check``.
     """
-    from repro.analysis.benchgate import strip_timing_values
-    from repro.obs.ledger import ledger_from_env, make_record
+    from repro.analysis.benchgate import bench_record
+    from repro.obs.ledger import ledger_from_env
 
     ledger = ledger_from_env()
     if ledger is None:
         return False
-    tables = [
-        {"title": title, "rows": rows}
-        for title, rows in _JSON_TABLES.get(experiment, {}).items()
-    ]
-    extras = _JSON_EXTRAS.get(experiment, {})
-    outcome = strip_timing_values(
-        {"tables": tables, "metrics": extras.get("metrics", {})}
-    )
-    return ledger.append(
-        make_record(
-            kind="bench",
-            experiment=f"bench:{experiment}",
-            seed=0,
-            config={"experiment": experiment, "kind": "bench"},
-            outcome=outcome,
-            timings=extras.get("timings", {}),
-        )
-    )
+    payload = json.loads(json_path(experiment).read_text())
+    return ledger.append(bench_record(experiment, payload))
 
 
 def record_speedup(

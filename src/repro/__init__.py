@@ -32,7 +32,7 @@ Quickstart::
     protocol = AdsConsensus()                # K=2, b=2, bounded counters
     run = protocol.run([0, 1, 1, 0], seed=7) # four processes, mixed inputs
     assert validate_run(run).ok
-    print(run.decisions)                     # e.g. {0: 1, 1: 1, 2: 1, 3: 1}
+    print(run.decisions)                     # {0: 0, 1: 0, 2: 0, 3: 0}
 """
 
 import importlib
@@ -40,7 +40,8 @@ import sys
 
 
 def _lazy_exports(package: str, exports: dict[str, tuple[str, ...]]):
-    """The PEP 562 module ``__getattr__`` and ``__dir__`` of ``package``.
+    """The PEP 562 module ``__getattr__`` and ``__dir__`` of ``package``,
+    and its ``__all__``: every name in ``exports``, sorted.
 
     ``exports`` maps each submodule to the public names it defines.  A
     name is imported from its submodule on first access and cached in
@@ -60,10 +61,10 @@ def _lazy_exports(package: str, exports: dict[str, tuple[str, ...]]):
     def __dir__() -> list[str]:
         return sorted(namespace.keys() | origins.keys())
 
-    return __getattr__, __dir__
+    return __getattr__, __dir__, sorted(origins)
 
 
-__getattr__, __dir__ = _lazy_exports(
+__getattr__, __dir__, __all__ = _lazy_exports(
     __name__,
     {
         "repro.consensus": (
@@ -91,26 +92,4 @@ __getattr__, __dir__ = _lazy_exports(
 )
 
 __version__ = "1.0.0"
-
-__all__ = [
-    "AdsConsensus",
-    "AdsConsensusObject",
-    "AspnesHerlihyConsensus",
-    "AtomicCoinConsensus",
-    "ConsensusRun",
-    "CrashPlan",
-    "LocalCoinConsensus",
-    "LockstepAdversary",
-    "MetricsRegistry",
-    "MetricsSnapshot",
-    "MultivaluedConsensusObject",
-    "Profiler",
-    "RandomScheduler",
-    "RoundRobinScheduler",
-    "ScriptedScheduler",
-    "Simulation",
-    "SplitAdversary",
-    "UniversalObject",
-    "validate_run",
-    "__version__",
-]
+__all__.append("__version__")

@@ -11,7 +11,7 @@ tables that EXPERIMENTS.md records.
 
 from repro import _lazy_exports
 
-__getattr__, __dir__ = _lazy_exports(
+__getattr__, __dir__, __all__ = _lazy_exports(
     __name__,
     {
         "repro.analysis.experiment": ("Sweep", "repeat_runs", "sweep_table"),
@@ -24,15 +24,3 @@ __getattr__, __dir__ = _lazy_exports(
         ),
     },
 )
-
-__all__ = [
-    "Sweep",
-    "format_table",
-    "growth_exponent",
-    "mean_and_ci",
-    "render_rows",
-    "repeat_runs",
-    "summarize",
-    "sweep_table",
-    "wilson_interval",
-]

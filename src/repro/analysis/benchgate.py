@@ -61,6 +61,31 @@ def strip_timing_values(payload: Any) -> Any:
     return payload
 
 
+def bench_record(experiment: str, payload: Mapping[str, Any]):
+    """The run-ledger record of a ``BENCH_<experiment>.json`` artifact.
+
+    Its deterministic identity is the artifact's ``tables`` and
+    ``metrics`` minus every timing-marker key, exactly what the gate
+    compares; the ``timings`` ride outside it.  Recording one artifact
+    twice (at bench time and by ``repro bench --ledger``) is therefore a
+    cache hit, not a duplicate."""
+    from repro.obs.ledger import make_record
+
+    return make_record(
+        kind="bench",
+        experiment=f"bench:{experiment}",
+        seed=0,
+        config={"experiment": experiment, "kind": "bench"},
+        outcome=strip_timing_values(
+            {
+                "tables": payload.get("tables", []),
+                "metrics": payload.get("metrics", {}),
+            }
+        ),
+        timings=payload.get("timings", {}),
+    )
+
+
 @dataclass
 class GateResult:
     """Outcome of gating one experiment's artifact against its baseline.

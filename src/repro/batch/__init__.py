@@ -13,11 +13,9 @@ execution").
 
 from repro import _lazy_exports
 
-__getattr__, __dir__ = _lazy_exports(
+__getattr__, __dir__, __all__ = _lazy_exports(
     __name__,
     {
         "repro.batch.engine": ("LaneResult", "LaneSpec", "run_lanes"),
     },
 )
-
-__all__ = ["LaneResult", "LaneSpec", "run_lanes"]

@@ -86,6 +86,7 @@ from repro.workloads import (
     SCHEDULERS,
     build_sweep,
     make_scheduler as _make_scheduler,
+    run_chaos,
 )
 
 EXPERIMENTS = {
@@ -108,20 +109,14 @@ def _parse_inputs(text: str) -> list[int]:
     return [int(part) for part in text.split(",") if part != ""]
 
 
-def _parse_crashes(entries: Sequence[str]) -> CrashPlan:
+def _parse_plan(entries: Sequence[str], kind: type[CrashPlan] | type[RecoveryPlan]):
+    """A ``kind`` plan from ``--crash``/``--restart`` ``PID[:STEP]``
+    entries (STEP defaults to 0), or ``None`` when there are none."""
     plan = {}
     for entry in entries:
         pid, _, step = entry.partition(":")
         plan[int(pid)] = int(step) if step else 0
-    return CrashPlan(plan)
-
-
-def _parse_restarts(entries: Sequence[str]) -> RecoveryPlan | None:
-    plan = {}
-    for entry in entries:
-        pid, _, step = entry.partition(":")
-        plan[int(pid)] = int(step) if step else 0
-    return RecoveryPlan(plan) if plan else None
+    return kind(plan) if plan else None
 
 
 def _open_ledger(args):
@@ -236,19 +231,15 @@ def _run_plan(args, metrics=None):
     )
 
 
-def _print_run_record(record) -> int:
-    """Replay a ``repro run`` cache hit from its ledger record."""
-    outcome = record.outcome
+def _print_run(config, seed: int, outcome, note: str = "") -> int:
+    """Print a ``repro run`` outcome: the live run's, or a cache hit's
+    from its ledger record (whose keys JSON made strings)."""
     decisions = {int(k): v for k, v in (outcome.get("decisions") or {}).items()}
     restarts = {int(k): v for k, v in (outcome.get("restarts") or {}).items()}
     rounds = {int(k): v for k, v in (outcome.get("rounds_by_pid") or {}).items()}
     audit = outcome.get("audit") or {}
-    inputs = record.config.get("inputs", [])
-    print(
-        f"protocol  : {record.config.get('protocol')}  "
-        f"(n={len(inputs)}, seed={record.seed})  "
-        f"[ledger cache hit {record.fingerprint[:12]}]"
-    )
+    inputs = config.get("inputs", [])
+    print(f"protocol  : {config.get('protocol')}  (n={len(inputs)}, seed={seed}){note}")
     print(f"inputs    : {inputs}")
     print(f"decisions : {decisions}")
     print(f"crashed   : {sorted(outcome.get('crashed') or []) or '-'}")
@@ -284,32 +275,39 @@ def cmd_run(args) -> int:
 
         cached = ledger.cached(compute_fingerprint(args.seed, config))
         if cached is not None and cached.kind == "run":
-            return _print_run_record(cached)
+            return _print_run(
+                cached.config,
+                cached.seed,
+                cached.outcome,
+                f"  [ledger cache hit {cached.fingerprint[:12]}]",
+            )
     protocol = PROTOCOLS[args.protocol]()
     run = protocol.run(
         inputs,
         scheduler=_make_scheduler(args.scheduler, args.seed),
         seed=args.seed,
-        crash_plan=_parse_crashes(args.crash),
-        recovery_plan=_parse_restarts(args.restart),
+        crash_plan=_parse_plan(args.crash, CrashPlan),
+        recovery_plan=_parse_plan(args.restart, RecoveryPlan),
         max_steps=args.max_steps,
         record_spans=args.timeline,
         keep_simulation=args.timeline,
     )
     report = validate_run(run)
-    print(f"protocol  : {run.protocol}  (n={run.n}, seed={args.seed})")
-    print(f"inputs    : {list(run.inputs)}")
-    print(f"decisions : {run.decisions}")
-    print(f"crashed   : {sorted(run.outcome.crashed) or '-'}")
-    if run.outcome.restarts:
-        print(f"restarts  : {run.outcome.restarts}")
-    print(f"steps     : {run.total_steps}   rounds: {run.stats.get('rounds_by_pid')}")
-    print(
-        "memory    : max |int| stored "
-        f"{run.audit.max_magnitude}, widest cell {run.audit.max_width}"
-    )
-    verdict = "OK" if report.ok else "VIOLATED: " + "; ".join(report.problems)
-    print(f"safety    : {verdict}")
+    outcome = {
+        "decisions": run.decisions,
+        "crashed": sorted(run.outcome.crashed),
+        "restarts": run.outcome.restarts,
+        "total_steps": run.total_steps,
+        "rounds_by_pid": run.stats.get("rounds_by_pid"),
+        "audit": {
+            "max_magnitude": run.audit.max_magnitude,
+            "max_width": run.audit.max_width,
+        },
+        "safety_ok": report.ok,
+        "problems": list(report.problems),
+        "disagreement": len(set(run.decisions.values())) > 1,
+    }
+    status = _print_run(config, args.seed, outcome)
     if ledger is not None:
         from repro.obs.ledger import make_record
 
@@ -319,20 +317,7 @@ def cmd_run(args) -> int:
                 experiment="run",
                 seed=args.seed,
                 config=config,
-                outcome={
-                    "decisions": run.decisions,
-                    "crashed": sorted(run.outcome.crashed),
-                    "restarts": run.outcome.restarts,
-                    "total_steps": run.total_steps,
-                    "rounds_by_pid": run.stats.get("rounds_by_pid"),
-                    "audit": {
-                        "max_magnitude": run.audit.max_magnitude,
-                        "max_width": run.audit.max_width,
-                    },
-                    "safety_ok": report.ok,
-                    "problems": list(report.problems),
-                    "disagreement": len(set(run.decisions.values())) > 1,
-                },
+                outcome=outcome,
                 metrics=run.metrics,
             )
         )
@@ -347,7 +332,7 @@ def cmd_run(args) -> int:
                 max_rows=args.timeline_rows,
             )
         )
-    return 0 if report.ok else 1
+    return status
 
 
 def cmd_metrics(args) -> int:
@@ -580,10 +565,7 @@ def cmd_chaos(args) -> int:
     import json
     import tempfile
 
-    from repro.consensus import AdsConsensus
-    from repro.faults.campaign import run_mutation_campaign
     from repro.obs.metrics import MetricsRegistry
-    from repro.verify.fuzz import fuzz_consensus
 
     registry = MetricsRegistry(enabled=True)
     plan = _run_plan(args, metrics=registry)
@@ -607,12 +589,11 @@ def cmd_chaos(args) -> int:
         marker = f"{crash_dir.name}/crashed"
         task_wrapper = lambda fn: CrashOnce(fn, marker)  # noqa: E731
 
-    campaign = run_mutation_campaign(
-        seed=args.seed,
-        plan=plan,
-        experiment="chaos:campaign",
-        task_wrapper=task_wrapper,
+    campaign, recovery, faults = run_chaos(
+        args.seed, args.runs_per_cell, plan, task_wrapper
     )
+    if crash_dir is not None:
+        crash_dir.cleanup()
     columns = ("fault", "layer", "checker", "injections", "detected", "expected", "ok")
     rows = [{k: row[k] for k in columns} for row in campaign.to_rows()]
     print(format_table(rows, title="checker mutation campaign"))
@@ -621,35 +602,10 @@ def cmd_chaos(args) -> int:
         print(f"HOLES (fault classes no checker caught): {campaign.holes}")
 
     print()
-    recovery = fuzz_consensus(
-        lambda: AdsConsensus(),
-        n_values=(2, 3),
-        runs_per_cell=args.runs_per_cell,
-        crash_probability=1.0,
-        recovery_probability=1.0,
-        master_seed=args.seed,
-        plan=plan,
-        experiment="chaos:recovery",
-        task_wrapper=task_wrapper,
-    )
     print(f"crash-recovery fuzz : {recovery.summary()}")
     for failure in recovery.failures:
         print(f"  FAIL {failure}")
-
-    faults = fuzz_consensus(
-        lambda: AdsConsensus(),
-        n_values=(2, 3),
-        runs_per_cell=max(2, args.runs_per_cell // 5),
-        crash_probability=0.0,
-        fault_probability=1.0,
-        master_seed=args.seed,
-        plan=plan,
-        experiment="chaos:faults",
-        task_wrapper=task_wrapper,
-    )
     print(f"fault-injection fuzz: {faults.summary()}")
-    if crash_dir is not None:
-        crash_dir.cleanup()
 
     snapshot = registry.snapshot()
     resilience = {
@@ -750,9 +706,11 @@ def cmd_sweep(args) -> int:
 
 def cmd_bench(args) -> int:
     """List benchmark artifacts, gate them against baselines, or update."""
+    import json
     import pathlib
 
     from repro.analysis.benchgate import (
+        bench_record,
         check_experiments,
         update_baselines,
     )
@@ -772,7 +730,12 @@ def cmd_bench(args) -> int:
         return 1
     ledger = _open_ledger(args)
     if ledger is not None:
-        appended = _bench_record_artifacts(ledger, experiments, results_dir)
+        appended = 0
+        for experiment in experiments:
+            path = results_dir / f"BENCH_{experiment.upper()}.json"
+            if path.exists():
+                payload = json.loads(path.read_text())
+                appended += ledger.append(bench_record(experiment, payload))
         print(
             f"ledger    : appended {appended} artifact record(s) to {ledger.path}"
         )
@@ -822,43 +785,6 @@ def cmd_bench(args) -> int:
     ok = all(r.ok for r in results)
     print(f"\nbench gate: {'OK' if ok else 'FAILED'} (tolerance {args.tolerance:.0%})")
     return 0 if ok else 1
-
-
-def _bench_record_artifacts(ledger, experiments, results_dir) -> int:
-    """Append every present ``BENCH_*.json`` artifact to the run ledger.
-
-    Mirrors ``benchmarks/_common.record_ledger`` (same kind, config and
-    timing-stripped outcome), so recording an artifact here and at bench
-    time produces the same deterministic identity — a cache hit, not a
-    duplicate.  Returns how many records were actually appended.
-    """
-    import json
-
-    from repro.analysis.benchgate import strip_timing_values
-    from repro.obs.ledger import make_record
-
-    appended = 0
-    for experiment in experiments:
-        path = results_dir / f"BENCH_{experiment.upper()}.json"
-        if not path.exists():
-            continue
-        payload = json.loads(path.read_text())
-        appended += ledger.append(
-            make_record(
-                kind="bench",
-                experiment=f"bench:{experiment}",
-                seed=0,
-                config={"experiment": experiment, "kind": "bench"},
-                outcome=strip_timing_values(
-                    {
-                        "tables": payload.get("tables", []),
-                        "metrics": payload.get("metrics", {}),
-                    }
-                ),
-                timings=payload.get("timings", {}),
-            )
-        )
-    return appended
 
 
 def cmd_profile(args) -> int:

@@ -27,7 +27,7 @@ holds the paper's closed-form predictions.
 
 from repro import _lazy_exports
 
-__getattr__, __dir__ = _lazy_exports(
+__getattr__, __dir__, __all__ = _lazy_exports(
     __name__,
     {
         "repro.coin.bounded": ("BoundedWalkSharedCoin",),
@@ -38,17 +38,3 @@ __getattr__, __dir__ = _lazy_exports(
         "repro.coin.walk": ("WalkSharedCoin",),
     },
 )
-
-__all__ = [
-    "BoundedWalkSharedCoin",
-    "HEADS",
-    "OracleCoin",
-    "SharedCoin",
-    "TAILS",
-    "UNDECIDED",
-    "WalkSharedCoin",
-    "coin_flipper_program",
-    "coin_value",
-    "default_m",
-    "local_coin_flip",
-]

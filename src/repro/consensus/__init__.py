@@ -20,7 +20,7 @@ a finite expected number of steps against the implemented adversaries.
 
 from repro import _lazy_exports
 
-__getattr__, __dir__ = _lazy_exports(
+__getattr__, __dir__, __all__ = _lazy_exports(
     __name__,
     {
         "repro.consensus.abrahamson": ("LocalCoinConsensus",),
@@ -41,21 +41,3 @@ __getattr__, __dir__ = _lazy_exports(
         ),
     },
 )
-
-__all__ = [
-    "AdsConsensus",
-    "AdsConsensusObject",
-    "AspnesHerlihyConsensus",
-    "AtomicCoinConsensus",
-    "BOTTOM",
-    "BoundedLocalCoinConsensus",
-    "ConsensusProtocol",
-    "ConsensusRun",
-    "LocalCoinConsensus",
-    "MultivaluedAdsConsensus",
-    "MultivaluedConsensusObject",
-    "check_consistency",
-    "check_validity",
-    "summarize_memory",
-    "validate_run",
-]

@@ -24,7 +24,7 @@ survives which fault class.
 
 from repro import _lazy_exports
 
-__getattr__, __dir__ = _lazy_exports(
+__getattr__, __dir__, __all__ = _lazy_exports(
     __name__,
     {
         "repro.faults.injector": ("FaultInjector", "InjectionRecord"),
@@ -32,13 +32,3 @@ __getattr__, __dir__ = _lazy_exports(
         "repro.faults.watchdog": ("Watchdog", "WatchdogAlert"),
     },
 )
-
-__all__ = [
-    "FAULT_KINDS",
-    "FaultInjector",
-    "FaultPlan",
-    "InjectionRecord",
-    "Watchdog",
-    "WatchdogAlert",
-    "corrupt_value",
-]

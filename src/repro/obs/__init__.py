@@ -31,7 +31,7 @@ E1–E12 map onto it.
 
 from repro import _lazy_exports
 
-__getattr__, __dir__ = _lazy_exports(
+__getattr__, __dir__, __all__ = _lazy_exports(
     __name__,
     {
         "repro.obs.metrics": (
@@ -87,47 +87,3 @@ __getattr__, __dir__ = _lazy_exports(
         "repro.obs.report": ("render_report", "write_report"),
     },
 )
-
-__all__ = [
-    "DEFAULT_TRACK",
-    "NULL_INSTRUMENT",
-    "CausalReport",
-    "Counter",
-    "CriticalPath",
-    "DeterminismViolation",
-    "Gauge",
-    "Histogram",
-    "HistoryCheck",
-    "LedgerRecord",
-    "MetricsRegistry",
-    "MetricsSnapshot",
-    "Profiler",
-    "RunLedger",
-    "SeriesRecorder",
-    "SeriesSpec",
-    "TrendAlert",
-    "build_causal_report",
-    "causal_report_for",
-    "compute_fingerprint",
-    "detect_regressions",
-    "detect_violations",
-    "export_chrome",
-    "export_jsonl",
-    "export_trace",
-    "history_check",
-    "history_rows",
-    "ledger_from_env",
-    "load_jsonl",
-    "make_record",
-    "measure_overhead",
-    "merge_series_payloads",
-    "merge_snapshots",
-    "parse_key",
-    "read_records",
-    "render_report",
-    "trace_to_chrome",
-    "trace_to_jsonl",
-    "trend_rows",
-    "trend_series",
-    "write_report",
-]

@@ -8,7 +8,7 @@ that :func:`run_tasks_partial` executes under, and ``docs/performance.md``
 
 from repro import _lazy_exports
 
-__getattr__, __dir__ = _lazy_exports(
+__getattr__, __dir__, __all__ = _lazy_exports(
     __name__,
     {
         "repro.parallel.engine": (
@@ -23,14 +23,3 @@ __getattr__, __dir__ = _lazy_exports(
         ),
     },
 )
-
-__all__ = [
-    "ParallelExecutionError",
-    "TaskError",
-    "WorkerPool",
-    "available_workers",
-    "resolve_batch_size",
-    "resolve_workers",
-    "run_tasks",
-    "run_tasks_partial",
-]

@@ -24,7 +24,7 @@ This package provides:
 
 from repro import _lazy_exports
 
-__getattr__, __dir__ = _lazy_exports(
+__getattr__, __dir__, __all__ = _lazy_exports(
     __name__,
     {
         "repro.registers.atomic": ("AtomicRegister", "RegisterArray"),
@@ -43,18 +43,3 @@ __getattr__, __dir__ = _lazy_exports(
         ),
     },
 )
-
-__all__ = [
-    "AtomicFromRegular",
-    "AtomicRegister",
-    "MemoryAudit",
-    "RegisterArray",
-    "RegularBitFromSafe",
-    "RegularRegister",
-    "SafeRegister",
-    "TwoWriterRegister",
-    "UnboundedMultiWriterRegister",
-    "check_register_history",
-    "history_from_spans",
-    "measure_magnitude",
-]

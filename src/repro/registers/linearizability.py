@@ -10,13 +10,16 @@ most recent preceding write (or the initial value if none).
 The checker is a Wing–Gong style backtracking search with memoisation on
 ``(set of linearized ops, current register value)``.  It is exponential in
 the worst case but comfortably handles the bounded scenarios and randomized
-schedules used to validate the register constructions in the tests.
+schedules used to validate the register constructions in the tests.  The
+search itself, :func:`find_linearization`, takes the object's step
+function, so :mod:`repro.universal.linearizability` runs the same search
+over any sequential spec.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Hashable, Iterable, Sequence
+from typing import Any, Callable, Hashable, Iterable, Sequence
 
 from repro.runtime.events import OpSpan
 
@@ -65,20 +68,24 @@ def history_from_spans(spans: Iterable[OpSpan]) -> list[HistoryOp]:
     return ops
 
 
-def check_register_history(
-    ops: Sequence[HistoryOp], initial: Any = None
+def find_linearization(
+    ops: Sequence[Any],
+    initial: Any,
+    step: Callable[[Any, Any], tuple[bool, Any]],
 ) -> list[int] | None:
-    """Return a witness linearization (list of op_ids), or ``None``.
+    """Wing–Gong search: a witness linearization (op_ids in order), or ``None``.
 
-    ``None`` means the history is *not* linearizable with respect to atomic
-    single-register semantics and the given initial value.
+    ``ops`` have an ``op_id`` and a real-time ``precedes(other)``.
+    ``step(state, op)`` returns whether ``op`` may take effect in
+    ``state`` and the state it leaves.  The search tries ops in list
+    order and memoises failed ``(set of linearized ops, state)`` pairs;
+    states must be hashable, falling back to ``repr`` otherwise.
     """
     ops = list(ops)
     total = len(ops)
     if total == 0:
         return []
-    index_of = {op.op_id: i for i, op in enumerate(ops)}
-    # precedes[i] = bitmask of ops that must come before op i.
+    # must_precede[i] = bitmask of ops that must come before op i.
     must_precede = [0] * total
     for i, a in enumerate(ops):
         for j, b in enumerate(ops):
@@ -87,44 +94,51 @@ def check_register_history(
 
     full_mask = (1 << total) - 1
     failed: set[tuple[int, Hashable]] = set()
-
-    def value_key(value: Any) -> Hashable:
-        try:
-            hash(value)
-            return value
-        except TypeError:
-            return repr(value)
-
     order: list[int] = []
 
-    def search(done_mask: int, current: Any) -> bool:
+    def state_key(state: Any) -> Hashable:
+        try:
+            hash(state)
+            return state
+        except TypeError:
+            return repr(state)
+
+    def search(done_mask: int, state: Any) -> bool:
         if done_mask == full_mask:
             return True
-        key = (done_mask, value_key(current))
+        key = (done_mask, state_key(state))
         if key in failed:
             return False
         for i, op in enumerate(ops):
             bit = 1 << i
-            if done_mask & bit:
+            if done_mask & bit or must_precede[i] & ~done_mask:
+                continue  # linearized already, or a predecessor is not yet
+            legal, after = step(state, op)
+            if not legal:
                 continue
-            if must_precede[i] & ~done_mask:
-                continue  # a real-time predecessor is not yet linearized
-            if op.kind == READ:
-                if op.value != current:
-                    continue
-                order.append(op.op_id)
-                if search(done_mask | bit, current):
-                    return True
-                order.pop()
-            else:
-                order.append(op.op_id)
-                if search(done_mask | bit, op.value):
-                    return True
-                order.pop()
+            order.append(op.op_id)
+            if search(done_mask | bit, after):
+                return True
+            order.pop()
         failed.add(key)
         return False
 
-    if search(0, initial):
-        assert len(order) == total and {index_of[o] for o in order} == set(range(total))
-        return list(order)
-    return None
+    return list(order) if search(0, initial) else None
+
+
+def _register_step(value: Any, op: HistoryOp) -> tuple[bool, Any]:
+    """A read must return the current value; a write replaces it."""
+    if op.kind == READ:
+        return op.value == value, value
+    return True, op.value
+
+
+def check_register_history(
+    ops: Sequence[HistoryOp], initial: Any = None
+) -> list[int] | None:
+    """Return a witness linearization (list of op_ids), or ``None``.
+
+    ``None`` means the history is *not* linearizable with respect to atomic
+    single-register semantics and the given initial value.
+    """
+    return find_linearization(ops, initial, _register_step)

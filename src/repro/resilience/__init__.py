@@ -35,7 +35,7 @@ section (see ``docs/robustness.md``).
 
 from repro import _lazy_exports
 
-__getattr__, __dir__ = _lazy_exports(
+__getattr__, __dir__, __all__ = _lazy_exports(
     __name__,
     {
         "repro.resilience.budget": (
@@ -53,17 +53,3 @@ __getattr__, __dir__ = _lazy_exports(
         "repro.resilience.policy": ("FailurePolicy", "PartialResult", "RetryBackoff"),
     },
 )
-
-__all__ = [
-    "AdmissionController",
-    "AdmissionDecision",
-    "CampaignBudget",
-    "CrashOnce",
-    "FailurePolicy",
-    "LedgerCheckpointer",
-    "PartialResult",
-    "Priority",
-    "RetryBackoff",
-    "RunPlan",
-    "run_checkpointed",
-]

@@ -22,7 +22,7 @@ parallelism is not required.
 
 from repro import _lazy_exports
 
-__getattr__, __dir__ = _lazy_exports(
+__getattr__, __dir__, __all__ = _lazy_exports(
     __name__,
     {
         "repro.runtime.events": ("OpEvent", "OpIntent", "OpSpan"),
@@ -51,28 +51,3 @@ __getattr__, __dir__ = _lazy_exports(
         "repro.runtime.trace": ("Trace",),
     },
 )
-
-__all__ = [
-    "Adversary",
-    "CrashPlan",
-    "OpEvent",
-    "OpIntent",
-    "OpSpan",
-    "ProcessContext",
-    "ProcessState",
-    "RandomScheduler",
-    "RecoveryPlan",
-    "RoundRobinScheduler",
-    "ScanStarvingAdversary",
-    "Scheduler",
-    "ScriptedScheduler",
-    "Simulation",
-    "SimulationOutcome",
-    "SplitAdversary",
-    "StepBudgetExceeded",
-    "Trace",
-    "TracingScheduler",
-    "WalkBalancingAdversary",
-    "derive_rng",
-    "derive_seed",
-]

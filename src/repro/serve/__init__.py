@@ -26,7 +26,7 @@ the Observability section.
 
 from repro import _lazy_exports
 
-__getattr__, __dir__ = _lazy_exports(
+__getattr__, __dir__, __all__ = _lazy_exports(
     __name__,
     {
         "repro.serve.api": ("ReproServer", "ServeConfig", "build_server"),
@@ -51,27 +51,3 @@ __getattr__, __dir__ = _lazy_exports(
         ),
     },
 )
-
-__all__ = [
-    "JOB_KINDS",
-    "PRIORITIES",
-    "Dispatcher",
-    "EventBroker",
-    "Job",
-    "JobQueue",
-    "JobStates",
-    "JobTracer",
-    "ReproServer",
-    "ServeClient",
-    "ServeConfig",
-    "ServeError",
-    "SpecError",
-    "TelemetryHub",
-    "build_server",
-    "job_fingerprint",
-    "job_trace_to_trace",
-    "load_job_trace",
-    "render_prometheus",
-    "timeline_rows",
-    "validate_spec",
-]

@@ -38,7 +38,7 @@ import pathlib
 import threading
 import time
 import urllib.parse
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import TYPE_CHECKING, Any
 
@@ -81,7 +81,6 @@ class ServeConfig:
     trace_path: str = ""  # default: <state_dir>/trace.jsonl
     access_log: str = ""  # off unless set (repro serve --access-log)
     heartbeat: float = 15.0  # SSE keep-alive cadence, seconds
-    extra: dict[str, Any] = field(default_factory=dict)
 
     def resolved_ledger(self) -> pathlib.Path:
         return pathlib.Path(

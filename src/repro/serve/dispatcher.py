@@ -311,38 +311,13 @@ class Dispatcher(threading.Thread):
         }
 
     def _run_chaos(self, params: dict[str, Any], plan: RunPlan) -> dict[str, Any]:
-        """The three ``repro chaos`` stages under their CLI experiment
-        labels, so serve chaos jobs cache-hit prior CLI chaos runs.  Only
-        the recovery stage ticks the job's progress."""
-        from repro.consensus import AdsConsensus
-        from repro.faults.campaign import run_mutation_campaign
-        from repro.verify.fuzz import fuzz_consensus
-        from repro.workloads import CHAOS_EXPERIMENTS
+        """The three ``repro chaos`` stages (see
+        :func:`repro.workloads.run_chaos`), so serve chaos jobs cache-hit
+        prior CLI chaos runs."""
+        from repro.workloads import run_chaos
 
-        campaign = run_mutation_campaign(
-            seed=params["seed"],
-            plan=self.plan,
-            experiment=CHAOS_EXPERIMENTS["campaign"],
-        )
-        recovery = fuzz_consensus(
-            AdsConsensus,
-            n_values=(2, 3),
-            runs_per_cell=params["runs_per_cell"],
-            crash_probability=1.0,
-            recovery_probability=1.0,
-            master_seed=params["seed"],
-            plan=plan,
-            experiment=CHAOS_EXPERIMENTS["recovery"],
-        )
-        faults = fuzz_consensus(
-            AdsConsensus,
-            n_values=(2, 3),
-            runs_per_cell=max(2, params["runs_per_cell"] // 5),
-            crash_probability=0.0,
-            fault_probability=1.0,
-            master_seed=params["seed"],
-            plan=self.plan,
-            experiment=CHAOS_EXPERIMENTS["faults"],
+        campaign, recovery, faults = run_chaos(
+            params["seed"], params["runs_per_cell"], plan
         )
         ok = campaign.ok and recovery.ok and faults.ok
         return {

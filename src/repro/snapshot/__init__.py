@@ -25,7 +25,7 @@ only (the algorithms never read them).
 
 from repro import _lazy_exports
 
-__getattr__, __dir__ = _lazy_exports(
+__getattr__, __dir__, __all__ = _lazy_exports(
     __name__,
     {
         "repro.snapshot.arrows": ("ArrowScannableMemory",),
@@ -41,15 +41,3 @@ __getattr__, __dir__ = _lazy_exports(
         "repro.snapshot.sequenced": ("SequencedScannableMemory",),
     },
 )
-
-__all__ = [
-    "ArrowScannableMemory",
-    "EmbeddedScanSnapshot",
-    "PropertyViolation",
-    "ScannableMemory",
-    "SequencedScannableMemory",
-    "check_all_properties",
-    "check_p1_regularity",
-    "check_p2_snapshot",
-    "check_p3_serializability",
-]

@@ -24,7 +24,7 @@ game/graph equivalence.
 
 from repro import _lazy_exports
 
-__getattr__, __dir__ = _lazy_exports(
+__getattr__, __dir__, __all__ = _lazy_exports(
     __name__,
     {
         "repro.strip.distance_graph": ("DistanceGraph",),
@@ -43,18 +43,3 @@ __getattr__, __dir__ = _lazy_exports(
         "repro.strip.token_game": ("TokenGame",),
     },
 )
-
-__all__ = [
-    "DistanceGraph",
-    "EdgeCounters",
-    "InvariantViolation",
-    "ShrunkenTokenGame",
-    "TokenGame",
-    "check_graph_invariants",
-    "decode_graph",
-    "graphs_equal",
-    "inc_counters",
-    "normalize_k",
-    "shrink_k",
-    "shrink_normalize",
-]

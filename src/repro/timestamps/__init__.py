@@ -24,7 +24,7 @@ that consensus does not need it.
 
 from repro import _lazy_exports
 
-__getattr__, __dir__ = _lazy_exports(
+__getattr__, __dir__, __all__ = _lazy_exports(
     __name__,
     {
         "repro.timestamps.sequential": (
@@ -34,5 +34,3 @@ __getattr__, __dir__ = _lazy_exports(
         ),
     },
 )
-
-__all__ = ["BoundedSequentialTimestamps", "UnboundedTimestamps", "dominates"]

@@ -18,7 +18,7 @@ read/write registers alone.
 
 from repro import _lazy_exports
 
-__getattr__, __dir__ = _lazy_exports(
+__getattr__, __dir__, __all__ = _lazy_exports(
     __name__,
     {
         "repro.universal.construction": ("UniversalObject",),
@@ -38,17 +38,3 @@ __getattr__, __dir__ = _lazy_exports(
         ),
     },
 )
-
-__all__ = [
-    "CasRegisterSpec",
-    "CounterSpec",
-    "FetchAndConsSpec",
-    "ObjectOp",
-    "QueueSpec",
-    "SequentialSpec",
-    "StackSpec",
-    "StickyBitSpec",
-    "UniversalObject",
-    "check_object_history",
-    "object_history_from_spans",
-]

@@ -1,9 +1,10 @@
 """Linearizability checking for arbitrary sequential objects.
 
-Generalizes the register checker of :mod:`repro.registers.linearizability`
-to any :class:`~repro.universal.spec.SequentialSpec`: a history of
-operation executions (invocation/response instants, operation, response)
-is linearizable iff some total order extends the real-time precedence order
+Runs the register checker's Wing–Gong search
+(:mod:`repro.registers.linearizability`) over any
+:class:`~repro.universal.spec.SequentialSpec`: a history of operation
+executions (invocation/response instants, operation, response) is
+linearizable iff some total order extends the real-time precedence order
 and replays through the spec producing exactly the recorded responses.
 
 Used to validate the universal construction from the *outside*: the agreed
@@ -16,6 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, Iterable, Sequence
 
+from repro.registers.linearizability import find_linearization
 from repro.runtime.events import OpSpan
 from repro.universal.spec import Operation, SequentialSpec
 
@@ -59,51 +61,16 @@ def check_object_history(
 ) -> list[int] | None:
     """Return a witness linearization (op_ids in order), or ``None``.
 
-    Wing–Gong backtracking with memoisation on (set of linearized ops,
-    object state); spec states must be hashable values (the provided specs
-    use tuples/ints), falling back to ``repr`` otherwise.
+    The register checker's Wing–Gong search
+    (:func:`~repro.registers.linearizability.find_linearization`) over
+    the spec's states: an operation may take effect when the spec
+    returns its recorded response.  Spec states must be hashable values
+    (the provided specs use tuples/ints), falling back to ``repr``
+    otherwise.
     """
-    ops = list(ops)
-    total = len(ops)
-    if total == 0:
-        return []
-    must_precede = [0] * total
-    for i, a in enumerate(ops):
-        for j, b in enumerate(ops):
-            if i != j and a.precedes(b):
-                must_precede[j] |= 1 << i
 
-    full_mask = (1 << total) - 1
-    failed: set[tuple[int, Any]] = set()
-    order: list[int] = []
+    def step(state: Any, op: ObjectOp) -> tuple[bool, Any]:
+        after, response = spec.apply(state, op.operation)
+        return response == op.response, after
 
-    def state_key(state: Any):
-        try:
-            hash(state)
-            return state
-        except TypeError:
-            return repr(state)
-
-    def search(done_mask: int, state: Any) -> bool:
-        if done_mask == full_mask:
-            return True
-        key = (done_mask, state_key(state))
-        if key in failed:
-            return False
-        for i, op in enumerate(ops):
-            bit = 1 << i
-            if done_mask & bit or must_precede[i] & ~done_mask:
-                continue
-            new_state, response = spec.apply(state, op.operation)
-            if response != op.response:
-                continue
-            order.append(op.op_id)
-            if search(done_mask | bit, new_state):
-                return True
-            order.pop()
-        failed.add(key)
-        return False
-
-    if search(0, spec.initial_state()):
-        return list(order)
-    return None
+    return find_linearization(ops, spec.initial_state(), step)

@@ -18,18 +18,10 @@ configurations of exactly the kind the paper's hand proofs argue about:
 
 from repro import _lazy_exports
 
-__getattr__, __dir__ = _lazy_exports(
+__getattr__, __dir__, __all__ = _lazy_exports(
     __name__,
     {
         "repro.verify.explorer": ("ExplorationResult", "explore_schedules"),
         "repro.verify.fuzz": ("FuzzFailure", "FuzzReport", "fuzz_consensus"),
     },
 )
-
-__all__ = [
-    "ExplorationResult",
-    "FuzzFailure",
-    "FuzzReport",
-    "explore_schedules",
-    "fuzz_consensus",
-]

@@ -15,9 +15,9 @@ shapes:
   (``repro sweep`` and serve ``{"kind": "sweep"}`` jobs both call it, so
   a sweep submitted over HTTP writes ledger bytes identical to the same
   sweep run through the CLI);
-- :data:`CHAOS_EXPERIMENTS` — the experiment labels of the three chaos
-  stages (mutation campaign + recovery fuzz + fault fuzz), shared by
-  ``repro chaos`` and serve ``{"kind": "chaos"}`` jobs.
+- :func:`run_chaos` — the three chaos stages (mutation campaign +
+  recovery fuzz + fault fuzz) under their experiment labels, run by
+  ``repro chaos`` and serve ``{"kind": "chaos"}`` jobs alike.
 
 Everything here is import-light so the serve dispatcher can load it in a
 thread without dragging the argparse layer along.
@@ -25,6 +25,7 @@ thread without dragging the argparse layer along.
 
 from __future__ import annotations
 
+import dataclasses
 from typing import TYPE_CHECKING, Any, Sequence
 
 from repro.consensus import (
@@ -46,6 +47,9 @@ from repro.runtime.adversary import LockstepAdversary
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.analysis.experiment import Sweep
+    from repro.faults.campaign import CampaignReport
+    from repro.resilience import RunPlan
+    from repro.verify.fuzz import FuzzReport
 
 #: The user-facing protocol menu (name → class), shared by every entry
 #: point so "ads" means the same protocol everywhere.
@@ -75,14 +79,6 @@ SWEEP_DEFAULTS: dict[str, Any] = {
     "scheduler": "random",
     "metric": "steps",
     "max_steps": 50_000_000,
-}
-
-#: Experiment labels of the three ``repro chaos`` stages.  Serve chaos
-#: jobs use the same labels so their ledger cells cache-hit CLI runs.
-CHAOS_EXPERIMENTS = {
-    "campaign": "chaos:campaign",
-    "recovery": "chaos:recovery",
-    "faults": "chaos:faults",
 }
 
 
@@ -221,3 +217,53 @@ def build_sweep(
             "max_steps": max_steps,
         },
     )
+
+
+def run_chaos(
+    seed: int, runs_per_cell: int, plan: "RunPlan", task_wrapper: Any = None
+) -> tuple["CampaignReport", "FuzzReport", "FuzzReport"]:
+    """The three ``repro chaos`` stages, identically configured everywhere.
+
+    Runs the checker mutation campaign, a crash-recovery fuzz (every run
+    crashes and every victim restarts) and a fault-injection fuzz (at a
+    fifth of the runs, at least two) over n = 2, 3, and returns their
+    three reports.  Each stage files its cells under its own ``chaos:*``
+    experiment label, so a serve chaos job cache-hits the cells of a
+    ``repro chaos`` run with the same seed and size, and the reverse.
+    Only the recovery stage ticks ``plan.progress``.  ``task_wrapper``
+    decorates every stage's cell function (see
+    :class:`~repro.resilience.checkpoint.CrashOnce`).
+    """
+    from repro.faults.campaign import run_mutation_campaign
+    from repro.verify.fuzz import fuzz_consensus
+
+    quiet = dataclasses.replace(plan, progress=None)
+    campaign = run_mutation_campaign(
+        seed=seed,
+        plan=quiet,
+        experiment="chaos:campaign",
+        task_wrapper=task_wrapper,
+    )
+    recovery = fuzz_consensus(
+        AdsConsensus,
+        n_values=(2, 3),
+        runs_per_cell=runs_per_cell,
+        crash_probability=1.0,
+        recovery_probability=1.0,
+        master_seed=seed,
+        plan=plan,
+        experiment="chaos:recovery",
+        task_wrapper=task_wrapper,
+    )
+    faults = fuzz_consensus(
+        AdsConsensus,
+        n_values=(2, 3),
+        runs_per_cell=max(2, runs_per_cell // 5),
+        crash_probability=0.0,
+        fault_probability=1.0,
+        master_seed=seed,
+        plan=quiet,
+        experiment="chaos:faults",
+        task_wrapper=task_wrapper,
+    )
+    return campaign, recovery, faults

@@ -108,6 +108,30 @@ def test_record_ledger_appends_once_per_identity(common, tmp_path, monkeypatch):
     assert len(read_records(ledger_path)) == 1
 
 
+def test_bench_command_cache_hits_the_record_of_record_ledger(
+    common, tmp_path, monkeypatch, capsys
+):
+    """``repro bench --ledger`` files an artifact exactly as the benchmark
+    did: same identity, same outcome, so nothing new is appended."""
+    monkeypatch.setenv("REPRO_CODE_VERSION", "test-code-v1")
+    ledger_path = tmp_path / "bench.jsonl"
+    monkeypatch.setenv("REPRO_LEDGER", str(ledger_path))
+    common.record("etest", [{"n": 3, "steps": 10, "wall_seconds": 0.5}], "t")
+    common.attach_metrics("etest", "ads", {"counters": {"demo{pid=0}": 7}})
+    common.attach_timing("etest", "total", 1.0)
+    assert common.record_ledger("etest") is True
+    capsys.readouterr()
+
+    from repro.cli import main
+    from repro.obs.ledger import read_records
+
+    argv = ["bench", "--results-dir", str(tmp_path), "--baselines-dir"]
+    argv += [str(tmp_path), "--experiments", "etest", "--ledger", str(ledger_path)]
+    assert main(argv) == 0
+    assert "appended 0 artifact record(s)" in capsys.readouterr().out
+    assert len(read_records(ledger_path)) == 1
+
+
 def test_record_ledger_off_without_env(common, monkeypatch):
     monkeypatch.delenv("REPRO_LEDGER", raising=False)
     common.record("etest", [{"n": 3}], "t")

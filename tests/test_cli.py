@@ -1,14 +1,16 @@
 """Tests for the command-line interface."""
 
+import re
+
 import pytest
 
 from repro.cli import (
-    _parse_crashes,
     _parse_inputs,
-    _parse_restarts,
+    _parse_plan,
     build_parser,
     main,
 )
+from repro.runtime import CrashPlan, RecoveryPlan
 
 
 def test_parse_inputs():
@@ -18,14 +20,15 @@ def test_parse_inputs():
 
 
 def test_parse_crashes():
-    plan = _parse_crashes(["0:100", "2"])
+    plan = _parse_plan(["0:100", "2"], CrashPlan)
     assert plan.crash_at == {0: 100, 2: 0}
+    assert _parse_plan([], CrashPlan) is None
 
 
 def test_parse_restarts():
-    plan = _parse_restarts(["0:300", "2"])
+    plan = _parse_plan(["0:300", "2"], RecoveryPlan)
     assert plan.restart_at == {0: 300, 2: 0}
-    assert _parse_restarts([]) is None
+    assert _parse_plan([], RecoveryPlan) is None
 
 
 def test_run_command_safe_exit_zero(capsys):
@@ -34,6 +37,20 @@ def test_run_command_safe_exit_zero(capsys):
     assert code == 0
     assert "decisions" in out
     assert "safety    : OK" in out
+
+
+def test_run_cache_hit_prints_what_the_live_run_printed(tmp_path, capsys):
+    argv = ["run", "--inputs", "0,1,1", "--seed", "4", "--crash", "1:5"]
+    argv += ["--restart", "1:40", "--ledger", str(tmp_path / "ledger.jsonl")]
+    assert main(argv) == 0
+    live = capsys.readouterr().out.splitlines()
+    assert main(argv) == 0
+    replay = capsys.readouterr().out.splitlines()
+    assert any(line.startswith("restarts  : ") for line in live)
+    head, hit = replay[0][: len(live[0])], replay[0][len(live[0]) :]
+    assert head == live[0]
+    assert re.fullmatch(r"  \[ledger cache hit [0-9a-f]{12}\]", hit)
+    assert replay[1:] == live[1:]
 
 
 def test_run_command_every_protocol(capsys):

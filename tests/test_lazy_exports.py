@@ -1,12 +1,12 @@
 """Package exports resolve lazily, so a process imports only what it runs.
 
-Every package ``__init__`` under ``src/repro`` keeps its ``__all__`` and
-resolves each exported name from its submodule on first access, caching
-it in the package namespace.  These tests pin what that buys: ``import
-repro`` and every package import load no submodule, the CLI loads the
-parser and the campaign path but no other command's modules, and a
-spawned serve-pool worker loads only what its sweep ran.  They also pin
-that every exported name still resolves.
+Every package ``__init__`` under ``src/repro`` takes its ``__all__`` from
+its export table and resolves each exported name from its submodule on
+first access, caching it in the package namespace.  These tests pin what
+that buys: ``import repro`` and every package import load no submodule,
+the CLI loads the parser and the campaign path but no other command's
+modules, and a spawned serve-pool worker loads only what its sweep ran.
+They also pin that every exported name still resolves.
 
 The module imports nothing from ``repro`` at top level: a spawned pool
 worker imports it to unpickle :func:`_loaded_repro_modules`.
