@@ -82,8 +82,12 @@ from repro.parallel import resolve_workers
 from repro.resilience import FailurePolicy, RetryBackoff, RunPlan
 from repro.runtime import CrashPlan, RecoveryPlan
 from repro.workloads import (
+    CHAOS_DEFAULTS,
+    CHAOS_N_VALUES,
     PROTOCOLS,
     SCHEDULERS,
+    SWEEP_DEFAULTS,
+    SWEEP_METRICS,
     build_sweep,
     make_scheduler as _make_scheduler,
     run_chaos,
@@ -124,11 +128,11 @@ def _open_ledger(args):
 
     ``--resume PATH`` wins outright (it *is* a ledger, with the cache
     forced on — resuming means serving every already-checkpointed cell,
-    after dropping the torn trailing line a killed writer may have left,
-    as ``repro serve`` does at boot); then ``--ledger PATH``, then the
-    ``REPRO_LEDGER`` environment variable; recording stays off when none
-    is set.  ``--no-cache`` keeps recording on but makes every
-    fingerprint lookup miss.
+    after healing the torn tail a killed writer may have left, as
+    ``repro serve`` does at boot, for a resume that appends nothing);
+    then ``--ledger PATH``, then the ``REPRO_LEDGER`` environment
+    variable; recording stays off when none is set.  ``--no-cache``
+    keeps recording on but makes every fingerprint lookup miss.
     """
     resume = getattr(args, "resume", "")
     if resume:
@@ -1090,6 +1094,9 @@ def cmd_serve(args) -> int:
         os._exit(0)
 
     signal.signal(signal.SIGTERM, terminate)
+    # Python keeps SIGINT ignored when it starts ignored (a background job
+    # of a non-interactive shell, nohup); Ctrl-C must still stop the server.
+    signal.signal(signal.SIGINT, signal.default_int_handler)
     # Start-up and banner sit inside the try: a Ctrl-C that lands the
     # moment "listening on" is printed still stops the server.
     try:
@@ -1305,13 +1312,14 @@ def build_parser() -> argparse.ArgumentParser:
     chaos = sub.add_parser(
         "chaos", help="mutation-test the checkers and fuzz recovery/faults"
     )
-    chaos.add_argument("--seed", type=int, default=0)
+    runs = CHAOS_DEFAULTS["runs_per_cell"]
+    chaos.add_argument("--seed", type=int)
     chaos.add_argument(
         "--runs-per-cell",
         type=int,
-        default=25,
         metavar="N",
-        help="recovery-fuzz runs per (n, scheduler) cell (default 25 → 200 runs)",
+        help="recovery-fuzz runs per (n, scheduler) cell (default "
+        f"{runs} → {runs * len(CHAOS_N_VALUES) * len(SCHEDULERS)} runs)",
     )
     chaos.add_argument(
         "--json", default="", metavar="PATH", help="also write a JSON report"
@@ -1324,25 +1332,25 @@ def build_parser() -> argparse.ArgumentParser:
         "result (needs two or more workers and --retries >= 1)",
     )
     _add_run_plan_args(chaos)
-    chaos.set_defaults(func=cmd_chaos)
+    chaos.set_defaults(func=cmd_chaos, **CHAOS_DEFAULTS)
 
     sweep = sub.add_parser(
         "sweep", help="sweep a protocol over n with replicated parallel runs"
     )
-    sweep.add_argument("--protocol", choices=sorted(PROTOCOLS), default="ads")
-    sweep.add_argument(
-        "--n-values", default="2,3,4", help="comma-separated process counts"
-    )
-    sweep.add_argument("--reps", type=int, default=10, help="seeded runs per point")
-    sweep.add_argument("--seed-base", type=int, default=0)
-    sweep.add_argument("--scheduler", choices=SCHEDULERS, default="random")
-    sweep.add_argument("--metric", choices=["steps", "rounds"], default="steps")
-    sweep.add_argument("--max-steps", type=int, default=50_000_000)
+    sweep.add_argument("--protocol", choices=sorted(PROTOCOLS))
+    sweep.add_argument("--n-values", help="comma-separated process counts")
+    sweep.add_argument("--reps", type=int, help="seeded runs per point")
+    sweep.add_argument("--seed-base", type=int)
+    sweep.add_argument("--scheduler", choices=SCHEDULERS)
+    sweep.add_argument("--metric", choices=SWEEP_METRICS)
+    sweep.add_argument("--max-steps", type=int)
     sweep.add_argument(
         "--progress", action="store_true", help="tick run completion on stderr"
     )
     _add_run_plan_args(sweep)
-    sweep.set_defaults(func=cmd_sweep)
+    # The flag defaults are SWEEP_DEFAULTS, with --n-values as typed.
+    n_values = ",".join(map(str, SWEEP_DEFAULTS["n_values"]))
+    sweep.set_defaults(func=cmd_sweep, **{**SWEEP_DEFAULTS, "n_values": n_values})
 
     bench = sub.add_parser(
         "bench", help="list/gate benchmark artifacts against baselines"

@@ -22,9 +22,15 @@ keys, compact separators), which buys three properties:
   whole verification story rests on bit-identical replay — and the
   ledger keeps both records so :mod:`repro.obs.projections` can flag it.
 
-The file format is crash-tolerant in the only way JSONL can be: a torn
-trailing line (a writer died mid-append) is ignored on read; a malformed
-line anywhere *else* is corruption and raises.
+The file format is crash-tolerant in the only way JSONL can be, by one
+rule for every append-only JSONL store here (run ledger, serve job log,
+job trace, access log).  Appends write whole lines under an exclusive
+lock (:func:`locked_append`), so a killed writer leaves at most a *torn
+tail* after the last newline: a line that lost only its newline when it
+parses as JSON, which readers (:func:`read_jsonl`) keep, else a torn
+append, which they drop; the next append heals the file the same way
+under its lock.  A newline-terminated line that does not parse is
+corruption wherever it sits, and raises.
 
 Enable recording with ``--ledger PATH`` on the CLI commands or the
 ``REPRO_LEDGER`` environment variable; it is off by default.
@@ -35,11 +41,12 @@ from __future__ import annotations
 import dataclasses
 import functools
 import hashlib
+import io
 import json
 import os
 import pathlib
 from dataclasses import dataclass, field
-from typing import Any, Iterable, Mapping
+from typing import Any, BinaryIO, Iterable, Mapping
 
 try:  # POSIX advisory locks; absent on some platforms (documented below)
     import fcntl
@@ -214,124 +221,148 @@ def make_record(
 
 
 class LedgerCorruption(ValueError):
-    """A non-trailing ledger line failed to parse — the file is damaged
-    beyond the torn-tail case the reader tolerates by design.
+    """A newline-terminated ledger line does not parse, or parses but is
+    not a record: damage beyond the torn tail the reader tolerates by
+    design.
 
     The message always leads with ``<file>:<line>:`` so server-side
     ledger damage is diagnosable straight from a CI log or artifact."""
 
 
+def _parses(tail: bytes) -> bool:
+    """Whether the bytes after a store's last newline parse as JSON, so
+    are a line that lost only its newline rather than a torn append.
+    The reader, the heal and :meth:`RunLedger._reload` all ask this."""
+    try:
+        json.loads(tail)
+    except ValueError:  # UnicodeDecodeError included
+        return False
+    return True
+
+
+def _heal_and_append(handle: BinaryIO, data: bytes = b"") -> bool:
+    """Under ``handle``'s exclusive advisory lock, heal its store's torn
+    tail, then append ``data`` and flush; ``True`` when bytes were cut.
+
+    Under the lock, a torn tail can only come from a writer that died
+    holding it.  A store ending in a newline costs a seek and a 1-byte read.
+    """
+    if fcntl is not None:
+        fcntl.flock(handle.fileno(), fcntl.LOCK_EX)
+    try:
+        torn = False
+        # A pipe or a terminal cannot seek, and has no tail to heal.
+        if handle.seekable() and handle.seek(0, os.SEEK_END):
+            handle.seek(-1, os.SEEK_END)
+            if handle.read(1) != b"\n":
+                handle.seek(0)
+                whole = handle.read()  # leaves the position at the end
+                start = whole.rfind(b"\n") + 1
+                torn = not _parses(whole[start:])
+                if torn:
+                    handle.truncate(start)
+                else:
+                    data = b"\n" + data
+        handle.write(data)
+        handle.flush()
+        return torn
+    finally:
+        if fcntl is not None:
+            fcntl.flock(handle.fileno(), fcntl.LOCK_UN)
+
+
 def locked_append(path: pathlib.Path | str, text: str) -> None:
-    """Append ``text`` to ``path`` under an exclusive advisory lock.
+    """Append ``text`` to ``path`` under an exclusive advisory lock,
+    healing a torn tail first (the rule of the module docstring).
 
     This is the one write path of every append-only JSONL store in the
-    repository (run ledger, serve job log).  The lock makes concurrent
-    appends from multiple processes interleave as whole lines instead of
-    tearing each other mid-record; within one process, callers serialize
-    through their own handle locks.  On platforms without ``fcntl`` the
-    append degrades to a plain buffered write (single-writer semantics,
-    the pre-existing contract).
+    repository (run ledger, serve job log, job trace, access log).  The
+    lock makes concurrent appends from multiple processes interleave as
+    whole lines instead of tearing each other mid-record; within one
+    process, callers serialize through their own handle locks.  On
+    platforms without ``fcntl`` the append degrades to a plain buffered
+    write (single-writer semantics, the pre-existing contract).
     """
     try:
-        handle = open(path, "a")
+        handle = open(path, "a+b")
     except FileNotFoundError:
         pathlib.Path(path).parent.mkdir(parents=True, exist_ok=True)
-        handle = open(path, "a")
+        handle = open(path, "a+b")
+    except io.UnsupportedOperation:  # "a+b" wants a seekable file
+        handle = open(path, "ab")
     with handle:
-        if fcntl is not None:
-            fcntl.flock(handle.fileno(), fcntl.LOCK_EX)
-        try:
-            handle.write(text)
-            handle.flush()
-        finally:
-            if fcntl is not None:
-                fcntl.flock(handle.fileno(), fcntl.LOCK_UN)
+        _heal_and_append(handle, text.encode("utf-8"))
 
 
 def truncate_torn_tail(path: pathlib.Path | str) -> bool:
-    """Physically remove a torn trailing line left by a crashed writer.
-
-    Readers already *tolerate* a torn tail (they drop it), but the
-    garbage bytes stay in the file — which breaks the serve restart
-    guarantee that a resumed campaign's ledger is byte-identical to an
-    undisturbed run.  Called once at server boot, before any appends.
-    Returns ``True`` when something was truncated.
-    """
-    path = pathlib.Path(path)
-    if not path.exists():
-        return False
-    data = path.read_bytes()
-    # Writers emit "<record>\n" in one locked write, so a torn tail is
-    # exactly: bytes after the last newline that do not parse as JSON.
-    if not data or data.endswith(b"\n"):
-        return False
-    head, sep, line = data.rpartition(b"\n")
-    offset = len(head) + len(sep)
+    """Heal a torn tail of ``path`` without appending; ``True`` when bytes
+    were cut.  For callers that must leave a whole file even when they
+    append nothing: ``repro serve`` at boot and ``--resume``."""
     try:
-        json.loads(line.decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError):
-        with open(path, "r+b") as handle:
-            if fcntl is not None:
-                fcntl.flock(handle.fileno(), fcntl.LOCK_EX)
-            try:
-                handle.truncate(offset)
-            finally:
-                if fcntl is not None:
-                    fcntl.flock(handle.fileno(), fcntl.LOCK_UN)
-        return True
-    # A parsable line missing only its newline: complete it in place.
-    locked_append(path, "\n")
-    return False
+        handle = open(path, "r+b")
+    except FileNotFoundError:
+        return False
+    with handle:
+        return _heal_and_append(handle)
 
 
-def _parse_line(
-    path: pathlib.Path, lineno: int, line: str, torn_ok: bool = False
-) -> LedgerRecord | None:
-    """One ledger line as a record.
-
-    A line that does not parse is corruption (:class:`LedgerCorruption`
-    naming ``path:lineno``), unless ``torn_ok`` says it may be a torn
-    append — the file's last line — in which case it yields ``None``.
-    """
+def _load_line(
+    path: pathlib.Path, lineno: int, line: bytes, error: type[ValueError], label: str
+) -> Any:
+    """The JSON payload of one newline-terminated line; one that does not
+    parse raises ``error`` naming ``path:lineno``."""
     try:
-        payload = json.loads(line)
-    except json.JSONDecodeError as exc:
-        if torn_ok:
-            return None  # torn trailing line: a crash mid-append, not corruption
-        raise LedgerCorruption(
-            f"{path}:{lineno}: unparsable ledger line (not the trailing "
-            f"line, so this is corruption, not a torn append): {exc}; "
-            f"line starts {line[:60]!r}"
+        return json.loads(line)
+    except ValueError as exc:
+        raise error(
+            f"{path}:{lineno}: unparsable {label} line ({exc}); it ends in a "
+            f"newline, so this is corruption, not a torn append; line starts "
+            f"{line[:60].decode('utf-8', 'replace')!r}"
         ) from None
+
+
+def read_jsonl(
+    path: pathlib.Path | str, error: type[ValueError], label: str
+) -> list[tuple[int, Any]]:
+    """The ``(line number, payload)`` pairs of a JSONL store, blank lines
+    skipped, by the module docstring's torn-tail rule: a missing file is
+    empty, and a line that does not parse raises ``error`` naming
+    ``<file>:<line>:`` and the store's ``label``."""
+    path = pathlib.Path(path)
+    try:
+        data = path.read_bytes()
+    except FileNotFoundError:
+        return []
+    *lines, tail = data.split(b"\n")
+    if _parses(tail):
+        lines.append(tail)
+    return [
+        (lineno, _load_line(path, lineno, line, error, label))
+        for lineno, line in enumerate(lines, start=1)
+        if line.strip()
+    ]
+
+
+def _record(path: pathlib.Path, lineno: int, payload: Any) -> LedgerRecord:
+    """A ledger line's payload as a record; :class:`LedgerCorruption`
+    naming ``path:lineno`` when it is not one."""
     try:
         return LedgerRecord.from_payload(payload)
     except (KeyError, TypeError, ValueError) as exc:
         raise LedgerCorruption(
             f"{path}:{lineno}: ledger line parses as JSON but is not a "
-            f"valid record ({type(exc).__name__}: {exc}); "
-            f"line starts {line[:60]!r}"
+            f"valid record ({type(exc).__name__}: {exc})"
         ) from None
 
 
 def read_records(path: pathlib.Path | str) -> list[LedgerRecord]:
-    """Read every record of a ledger file, tolerating a torn last line.
-
-    A missing file is an empty ledger.  An unparsable *trailing* line is
-    dropped silently (a writer died mid-append; the append protocol makes
-    any earlier line complete).  An unparsable line before the end raises
-    :class:`LedgerCorruption` with the line number.
-    """
+    """Every record of a ledger file, read by :func:`read_jsonl`; a line
+    that is not a record also raises :class:`LedgerCorruption`."""
     path = pathlib.Path(path)
-    if not path.exists():
-        return []
-    lines = path.read_text().splitlines()
-    records: list[LedgerRecord] = []
-    for lineno, line in enumerate(lines, start=1):
-        if line.strip():
-            record = _parse_line(path, lineno, line, torn_ok=lineno == len(lines))
-            if record is not None:
-                records.append(record)
-    return records
+    return [
+        _record(path, lineno, payload)
+        for lineno, payload in read_jsonl(path, LedgerCorruption, "ledger")
+    ]
 
 
 def _read_bytes(path: pathlib.Path, start: int = 0) -> tuple[bytes, int | None]:
@@ -399,12 +430,8 @@ class RunLedger:
         data, inode = _read_bytes(self.path)
         records = read_records(self.path)
         end = data.rfind(b"\n") + 1
-        if data[end:].strip():
-            try:
-                json.loads(data[end:])
-                end = len(data)  # read_records keeps a line missing its newline
-            except ValueError:
-                pass  # a torn append, left for refresh()
+        if _parses(data[end:]):
+            end = len(data)  # read_records keeps a line missing its newline
         count = sum(1 for line in data[:end].split(b"\n") if line.strip())
         self._index(records[:count])
         self._lines = data.count(b"\n", 0, end)
@@ -472,8 +499,8 @@ class RunLedger:
                 fresh.append(own[matched])
                 matched += 1
                 continue
-            record = _parse_line(self.path, lineno, line.decode("utf-8", "replace"))
-            assert record is not None
+            payload = _load_line(self.path, lineno, line, LedgerCorruption, "ledger")
+            record = _record(self.path, lineno, payload)
             fresh.append(record)
             foreign.append(record)
         self._records[consumed:] = fresh + own[matched:]

@@ -10,9 +10,9 @@ in submission order, one write per settled engine unit, so
 - the ledger's bytes are identical whether the campaign ran serially,
   on eight workers, or through three interrupt/resume cycles, and
 - an interrupt always leaves a valid submission-order *prefix* on disk
-  (plus at most one torn trailing line, which the ledger reader already
-  tolerates) — the resumed run recomputes only the missing suffix and
-  whatever cells the cache could not serve.
+  (plus at most one torn trailing line, which the reader drops and the
+  next append heals) — the resumed run recomputes only the missing
+  suffix and whatever cells the cache could not serve.
 
 :class:`RunPlan` is how a campaign executes (workers, dispatch unit,
 failure policy, deadline, metrics, progress, ledger), and

@@ -109,8 +109,9 @@ class _Priced:
 class ReproServer:
     """The assembled service: HTTP server + queue + dispatcher.
 
-    Boot order matters: both JSONL stores are healed of torn trailing
-    lines *before* anything reads them, so a ledger a SIGKILLed
+    Boot order matters: the three JSONL stores are healed of torn
+    trailing lines *before* anything reads them (every append would heal
+    them too, but a boot may append nothing), so a ledger a SIGKILLed
     predecessor tore mid-append is byte-identical to an undisturbed
     prefix by the time the first job resumes from it.
     """

@@ -6,9 +6,11 @@ carries the transition plus its payload), through the same
 exclusive-lock append path as the run ledger
 (:func:`repro.obs.ledger.locked_append`), so concurrent writers
 interleave whole lines and a crash tears at most the trailing line.
-Boot replays the log to rebuild in-memory state; jobs that were
-``RUNNING`` when the process died are requeued (their ledger
-checkpoint makes the re-run recompute only missing cells).
+Boot replays the log through the same function that applies each live
+event once it is appended, so memory always equals a replay of the log;
+jobs that were ``RUNNING`` when the process died are requeued by a
+logged transition like any other (their ledger checkpoint makes the
+re-run recompute only missing cells).
 
 States::
 
@@ -33,7 +35,7 @@ import time
 from dataclasses import dataclass, field
 from typing import Any, Callable, Iterator
 
-from repro.obs.ledger import locked_append
+from repro.obs.ledger import locked_append, read_jsonl
 
 
 class JobLogCorruption(ValueError):
@@ -126,33 +128,20 @@ class JobQueue:
 
     # -- persistence ---------------------------------------------------------
 
-    def _append(self, event: dict[str, Any]) -> None:
+    def _log(self, event: dict[str, Any]) -> Job:
+        """Append ``event`` to the log, then :meth:`_apply` it: every live
+        transition, so memory always equals a replay of the log."""
         locked_append(self.path, json.dumps(event, sort_keys=True) + "\n")
+        return self._apply(event)
 
     def _load(self) -> None:
-        if not self.path.exists():
-            return
-        with open(self.path, "r") as handle:
-            lines = handle.read().splitlines()
-        for lineno, line in enumerate(lines, start=1):
-            if not line.strip():
-                continue
+        for lineno, event in read_jsonl(self.path, JobLogCorruption, "job-log"):
             try:
-                event = json.loads(line)
-            except json.JSONDecodeError as exc:
-                if lineno == len(lines):
-                    break  # torn trailing line: crash mid-append
-                raise JobLogCorruption(
-                    f"{self.path}:{lineno}: unparsable job-log line "
-                    f"({exc}); line starts {line[:60]!r}"
-                ) from None
-            try:
-                self._replay(event)
+                self._apply(event)
             except (KeyError, TypeError, ValueError) as exc:
                 raise JobLogCorruption(
                     f"{self.path}:{lineno}: job-log event invalid "
-                    f"({type(exc).__name__}: {exc}); "
-                    f"line starts {line[:60]!r}"
+                    f"({type(exc).__name__}: {exc})"
                 ) from None
         # Jobs the dead server left RUNNING go back in line: their ledger
         # checkpoint means the re-run recomputes only the missing suffix.
@@ -160,20 +149,13 @@ class JobQueue:
         # requeue_running=False so projecting the log never mutates it.)
         for job in self._jobs.values():
             if self.requeue_running and job.state == JobStates.RUNNING:
-                job.state = JobStates.QUEUED
-                self._append(
-                    {
-                        "event": "state",
-                        "job": job.id,
-                        "state": JobStates.QUEUED,
-                        "at": time.time(),
-                        "reason": "requeued after restart",
-                    }
-                )
+                self._transition(job, JobStates.QUEUED, reason="requeued after restart")
         if any(j.state == JobStates.QUEUED for j in self._jobs.values()):
             self.wake.set()
 
-    def _replay(self, event: dict[str, Any]) -> None:
+    def _apply(self, event: dict[str, Any]) -> Job:
+        """Apply one logged event to the in-memory state and return its
+        job: the one transition rule, for boot replay and live events."""
         kind = event["event"]
         if kind == "submit":
             job = Job(
@@ -200,6 +182,7 @@ class JobQueue:
                 job.result = event.get("result")
         else:
             raise ValueError(f"unknown job-log event {kind!r}")
+        return job
 
     # -- transitions ---------------------------------------------------------
 
@@ -218,14 +201,8 @@ class JobQueue:
         RUNNING — the 202 body must reflect the submission instant.
         """
         with self._lock:
-            now = time.time()
-            job = Job(
-                id=job_id, spec=dict(spec), submitted_at=now, updated_at=now
-            )
-            self._jobs[job_id] = job
-            self._order.append(job_id)
-            self._append(
-                {"event": "submit", "job": job_id, "spec": spec, "at": now}
+            job = self._log(
+                {"event": "submit", "job": job_id, "spec": spec, "at": time.time()}
             )
             snapshot = job.snapshot()
             self.wake.set()
@@ -233,20 +210,12 @@ class JobQueue:
         return job, snapshot
 
     def _transition(self, job: Job, state: str, **extra: Any) -> None:
-        job.state = state
-        job.updated_at = time.time()
-        job.error = extra.get("error", "")
-        job.reason = extra.get("reason", "")
-        if state == JobStates.RUNNING:
-            job.attempts += 1
-        if state == JobStates.DONE:
-            job.result = extra.get("result")
-        self._append(
+        self._log(
             {
                 "event": "state",
                 "job": job.id,
                 "state": state,
-                "at": job.updated_at,
+                "at": time.time(),
                 **extra,
             }
         )

@@ -21,6 +21,7 @@ from repro.obs.ledger import canonical_json
 from repro.resilience import Priority
 from repro.version import code_version
 from repro.workloads import (
+    CHAOS_DEFAULTS,
     PROTOCOLS,
     SCHEDULERS,
     SWEEP_DEFAULTS,
@@ -42,9 +43,10 @@ PRIORITIES = {
     "best-effort": Priority.BEST_EFFORT,
 }
 
-#: Per-kind parameter defaults.  The sweep row *is*
-#: :data:`repro.workloads.SWEEP_DEFAULTS` — an empty HTTP spec and a
-#: bare ``repro sweep`` name identical ledger cells.
+#: Per-kind parameter defaults.  The sweep and chaos rows *are*
+#: :data:`repro.workloads.SWEEP_DEFAULTS` and ``CHAOS_DEFAULTS`` — an
+#: empty HTTP spec and a bare ``repro sweep`` or ``repro chaos`` name
+#: identical ledger cells.
 PARAM_DEFAULTS: dict[str, dict[str, Any]] = {
     "sweep": dict(SWEEP_DEFAULTS),
     "fuzz": {
@@ -60,11 +62,7 @@ PARAM_DEFAULTS: dict[str, dict[str, Any]] = {
         "seed": 0,
         "consensus_max_steps": 200_000,
     },
-    # The three stages of ``repro chaos``, same defaults as its flags.
-    "chaos": {
-        "seed": 0,
-        "runs_per_cell": 25,
-    },
+    "chaos": dict(CHAOS_DEFAULTS),
 }
 
 

@@ -41,7 +41,7 @@ import threading
 import time
 from typing import TYPE_CHECKING, Any, Callable, Iterator, Mapping
 
-from repro.obs.ledger import locked_append
+from repro.obs.ledger import locked_append, read_jsonl
 from repro.runtime.events import OpEvent
 from repro.runtime.trace import Trace
 
@@ -129,26 +129,9 @@ class JobTracer:
 
 
 def load_job_trace(path: str | pathlib.Path) -> list[dict[str, Any]]:
-    """Read a job-trace JSONL file, tolerating a torn trailing line."""
-    path = pathlib.Path(path)
-    if not path.exists():
-        return []
-    lines = path.read_text().splitlines()
-    records: list[dict[str, Any]] = []
-    for lineno, line in enumerate(lines, start=1):
-        if not line.strip():
-            continue
-        try:
-            record = json.loads(line)
-        except json.JSONDecodeError as exc:
-            if lineno == len(lines):
-                break  # torn trailing line: a writer died mid-append
-            raise ValueError(
-                f"{path}:{lineno}: unparsable job-trace line ({exc}); "
-                f"line starts {line[:60]!r}"
-            ) from None
-        records.append(record)
-    return records
+    """Read a job-trace JSONL file by :func:`repro.obs.ledger.read_jsonl`'s
+    rule: a torn tail is dropped, a damaged line raises ``ValueError``."""
+    return [record for _, record in read_jsonl(path, ValueError, "job-trace")]
 
 
 def job_trace_to_trace(records: list[dict[str, Any]]) -> Trace:

@@ -68,9 +68,9 @@ SCHEDULERS = ("random", "round-robin", "split", "lockstep")
 #: Sweep metrics a run can be reduced to.
 SWEEP_METRICS = ("steps", "rounds")
 
-#: Default cell parameters of the canonical sweep — the CLI flag defaults
-#: and the serve spec defaults are both this dict, so an empty HTTP spec
-#: and a bare ``repro sweep`` name identical cells.
+#: Default cell parameters of the canonical sweep — the CLI flag defaults,
+#: :func:`build_sweep`'s and the serve spec defaults are all this dict, so
+#: an empty HTTP spec and a bare ``repro sweep`` name identical cells.
 SWEEP_DEFAULTS: dict[str, Any] = {
     "protocol": "ads",
     "n_values": [2, 3, 4],
@@ -80,6 +80,13 @@ SWEEP_DEFAULTS: dict[str, Any] = {
     "metric": "steps",
     "max_steps": 50_000_000,
 }
+
+#: Default parameters of ``repro chaos``: its flag defaults and the serve
+#: chaos spec defaults are both this dict, like :data:`SWEEP_DEFAULTS`.
+CHAOS_DEFAULTS: dict[str, Any] = {"seed": 0, "runs_per_cell": 25}
+
+#: The process counts of the two ``repro chaos`` fuzz stages.
+CHAOS_N_VALUES = (2, 3)
 
 
 def make_scheduler(name: str, seed: int):
@@ -186,13 +193,13 @@ def make_sweep_runner(
 
 
 def build_sweep(
-    protocol: str = "ads",
-    n_values: Sequence[int] = (2, 3, 4),
-    reps: int = 10,
-    seed_base: int = 0,
-    scheduler: str = "random",
-    metric: str = "steps",
-    max_steps: int = 50_000_000,
+    protocol: str = SWEEP_DEFAULTS["protocol"],
+    n_values: Sequence[int] = tuple(SWEEP_DEFAULTS["n_values"]),
+    reps: int = SWEEP_DEFAULTS["reps"],
+    seed_base: int = SWEEP_DEFAULTS["seed_base"],
+    scheduler: str = SWEEP_DEFAULTS["scheduler"],
+    metric: str = SWEEP_DEFAULTS["metric"],
+    max_steps: int = SWEEP_DEFAULTS["max_steps"],
 ) -> "Sweep":
     """The canonical protocol sweep, identically configured everywhere.
 
@@ -246,7 +253,7 @@ def run_chaos(
     )
     recovery = fuzz_consensus(
         AdsConsensus,
-        n_values=(2, 3),
+        n_values=CHAOS_N_VALUES,
         runs_per_cell=runs_per_cell,
         crash_probability=1.0,
         recovery_probability=1.0,
@@ -257,7 +264,7 @@ def run_chaos(
     )
     faults = fuzz_consensus(
         AdsConsensus,
-        n_values=(2, 3),
+        n_values=CHAOS_N_VALUES,
         runs_per_cell=max(2, runs_per_cell // 5),
         crash_probability=0.0,
         fault_probability=1.0,

@@ -144,9 +144,11 @@ def test_torn_trailing_line_is_tolerated(tmp_path):
         handle.write('{"fingerprint": "torn-mid-wri')  # crash mid-append
     records = read_records(path)
     assert len(records) == 2
-    # Appending over a torn tail keeps working (the reader dropped it).
+    # Appending over a torn tail keeps working (the append heals it).
     reopened = RunLedger(path)
     assert len(reopened) == 2
+    reopened.append(_record(seed=2))
+    assert [record.seed for record in read_records(path)] == [0, 1, 2]
 
 
 def test_mid_file_corruption_raises(tmp_path):

@@ -7,6 +7,7 @@ any number of writers, zero torn records, `repro history check` clean.
 """
 
 import json
+import os
 import subprocess
 import sys
 import threading
@@ -123,6 +124,19 @@ def test_locked_append_creates_parent_directories(tmp_path):
     path = tmp_path / "deep" / "nested" / "ledger.jsonl"
     locked_append(path, "x\n")
     assert path.read_text() == "x\n"
+
+
+@pytest.mark.skipif(not os.path.exists("/proc/self/fd"), reason="needs /proc")
+def test_locked_append_writes_to_a_pipe():
+    """A store that cannot seek (``--access-log /dev/stderr`` on a pipe)
+    has no tail to heal and still takes appends."""
+    read_end, write_end = os.pipe()
+    try:
+        locked_append(f"/proc/self/fd/{write_end}", '{"a": 1}\n')
+        assert os.read(read_end, 64) == b'{"a": 1}\n'
+    finally:
+        os.close(read_end)
+        os.close(write_end)
 
 
 # -- corruption diagnostics: file and line, not just a fingerprint ----------

@@ -70,6 +70,16 @@ def test_running_jobs_requeue_on_reload(tmp_path):
     assert "restart" in events[-1]["reason"]
 
 
+def test_boot_requeue_equals_a_replay_of_its_log(tmp_path):
+    path = tmp_path / "jobs.jsonl"
+    queue = JobQueue(path)
+    queue.submit("j1", SPEC)
+    queue.claim()  # RUNNING when the "server" dies
+    booted = JobQueue(path).get("j1").snapshot()
+    assert booted["reason"] == "requeued after restart"
+    assert booted == JobQueue(path, requeue_running=False).get("j1").snapshot()
+
+
 def test_readonly_reload_does_not_mutate_the_log(tmp_path):
     path = tmp_path / "jobs.jsonl"
     queue = JobQueue(path)

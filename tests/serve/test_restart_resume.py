@@ -33,7 +33,9 @@ def _env():
     return child_env(SRC, PYTHONUNBUFFERED="1", REPRO_CODE_VERSION="test-resume-v1")
 
 
-def _boot_server(state_dir: Path, workers: int) -> tuple[subprocess.Popen, str]:
+def _boot_server(
+    state_dir: Path, workers: int, preexec_fn=None
+) -> tuple[subprocess.Popen, str]:
     proc = subprocess.Popen(
         [
             sys.executable,
@@ -51,6 +53,7 @@ def _boot_server(state_dir: Path, workers: int) -> tuple[subprocess.Popen, str]:
         stderr=subprocess.STDOUT,
         text=True,
         env=_env(),
+        preexec_fn=preexec_fn,
     )
     deadline = time.monotonic() + 30
     url = ""
@@ -218,3 +221,23 @@ def test_sigint_with_a_parked_pool_exits_cleanly(tmp_path):
         proc.stdout.close()
     assert "shutting down" in output
     assert "most recent call first" not in output
+
+
+@pytest.mark.slow
+@pytest.mark.skipif(os.name != "posix", reason="needs POSIX signals")
+def test_sigint_stops_a_server_started_with_sigint_ignored(tmp_path):
+    """A background job of a non-interactive shell, or ``nohup``, starts
+    the server with SIGINT ignored; Ctrl-C must still stop it."""
+    proc, _ = _boot_server(
+        tmp_path / "state",
+        workers=1,
+        preexec_fn=lambda: signal.signal(signal.SIGINT, signal.SIG_IGN),
+    )
+    try:
+        os.kill(proc.pid, signal.SIGINT)
+        assert proc.wait(timeout=10) == 0
+    finally:
+        if proc.poll() is None:
+            proc.kill()
+            proc.wait(timeout=10)
+        proc.stdout.close()
